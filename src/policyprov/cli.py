@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import RunawayScenarioError, ScenarioError
+from .errors import RunawayScenarioError, ScenarioError, UnknownPolicyError
 from .prov import build_prov, export_prov_json
 from .reconstruct import reconstruct_process, to_dot
 from .simulation import load_scenario, run, trace_report
@@ -89,11 +89,15 @@ def cmd_export(args) -> int:
     if policy_id is None:
         print("log holds multiple policies; pass --policy", file=sys.stderr)
         return 2
-    if args.prov:
-        payload = export_prov_json(build_prov(log, policy_id))
-    else:
-        graph = reconstruct_process(log, policy_id, include_notifications=args.include_notifications)
-        payload = to_dot(graph).encode("utf-8")
+    try:
+        if args.prov:
+            payload = export_prov_json(build_prov(log, policy_id))
+        else:
+            graph = reconstruct_process(log, policy_id, include_notifications=args.include_notifications)
+            payload = to_dot(graph).encode("utf-8")
+    except UnknownPolicyError:
+        print(f"unknown policy: {policy_id}", file=sys.stderr)
+        return 2
     try:
         Path(args.out).write_bytes(payload)
     except OSError as exc:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
-from .errors import UnknownPolicyError
 from .goals import canonical_artifact
 from .model import Address, LocalToken, RoutedToken
 from .storage import EventLog
+from .view import PolicyView, activity_id_for, view_of
 
 
 @dataclass
@@ -33,6 +34,9 @@ class ProvDocument:
     was_associated_with: list = field(default_factory=list)  # (activity, agent)
     was_informed_by: list = field(default_factory=list)  # (informed, informant)
     was_derived_from: list = field(default_factory=list)  # (generated, source)
+    # Lookup sets over the relation lists, rebuilt if a list was changed directly.
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _generator: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_entity(self, entity_id: str, **attrs) -> str:
         self.entities.setdefault(entity_id, {}).update(
@@ -54,94 +58,32 @@ class ProvDocument:
         return agent_id
 
     def relate(self, relation: list, pair: tuple):
-        if pair not in relation:
+        seen = self._pairs.get(id(relation))
+        if seen is None or len(seen) != len(relation):
+            seen = self._pairs[id(relation)] = set(relation)
+        if pair not in seen:
+            seen.add(pair)
             relation.append(pair)
 
     def generated_by(self, entity_id: str, activity_id: str) -> bool:
         """At most one generator per entity; the first one wins."""
-        if any(e == entity_id for e, _ in self.was_generated_by):
+        if self.generator_of(entity_id) is not None:
             return False
         self.was_generated_by.append((entity_id, activity_id))
+        self._generator[entity_id] = activity_id
         return True
 
     def generator_of(self, entity_id: str) -> Optional[str]:
-        for ent, act in self.was_generated_by:
-            if ent == entity_id:
-                return act
-        return None
+        if len(self._generator) != len(self.was_generated_by):
+            self._generator = dict(reversed(self.was_generated_by))
+        return self._generator.get(entity_id)
 
 
 def entity_id_for(policy_id: str, name: str) -> str:
     return f"ent:{policy_id}/{canonical_artifact(name)}"
 
 
-def activity_id_for(token: LocalToken) -> str:
-    return f"act:{token.policy_id}/{token.who_carried_out.network_id}/{token.seq_num}"
-
-
-class _ActivityIndex:
-    """Per-actor, time-ordered local-token activities of one policy."""
-
-    def __init__(self, tokens: list[LocalToken], actor_event_times: dict):
-        self.by_actor: dict[str, list[LocalToken]] = {}
-        for token in tokens:
-            self.by_actor.setdefault(str(token.who_carried_out), []).append(token)
-        self._actor_event_times = actor_event_times
-
-    def previous(self, actor: Address, at: int, task: Optional[str] = None) -> Optional[LocalToken]:
-        candidates = [t for t in self.by_actor.get(str(actor), ()) if t.timestamp <= at]
-        if task:
-            matching = [t for t in candidates if t.task == task]
-            if matching:
-                return matching[-1]
-        return candidates[-1] if candidates else None
-
-    def next(self, actor: Address, after: int) -> Optional[LocalToken]:
-        for token in self.by_actor.get(str(actor), ()):
-            if token.timestamp >= after:
-                return token
-        return None
-
-    def end_time(self, token: LocalToken) -> int:
-        """End = time of the actor's next event, or its own timestamp if terminal."""
-        times = self._actor_event_times.get(str(token.who_carried_out), ())
-        for t in times:
-            if t > token.timestamp:
-                return t
-        return token.timestamp
-
-
-def _policy_tokens(log: EventLog, policy_id: str):
-    locals_, sends, receives = [], [], {}
-    seen_policy = False
-    for rec in log:
-        if rec.body.get("policy_id") == policy_id:
-            seen_policy = True
-        else:
-            continue
-        if rec.event_kind == "local-token":
-            locals_.append(LocalToken.from_record(rec.body))
-        elif rec.event_kind == "routed-token-send":
-            sends.append(RoutedToken.from_record(rec.body))
-        elif rec.event_kind == "routed-token-receive":
-            receives[rec.body["token_id"]] = rec.logical_time
-    if not seen_policy:
-        raise UnknownPolicyError(policy_id)
-    return locals_, sends, receives
-
-
-def _make_index(locals_, sends):
-    actor_event_times: dict[str, list[int]] = {}
-    for token in locals_:
-        actor_event_times.setdefault(str(token.who_carried_out), []).append(token.timestamp)
-    for token in sends:
-        actor_event_times.setdefault(str(token.source_address), []).append(token.timestamp)
-    for times in actor_event_times.values():
-        times.sort()
-    return _ActivityIndex(locals_, actor_event_times)
-
-
-def _add_local(doc: ProvDocument, token: LocalToken, index: _ActivityIndex):
+def _add_local(doc: ProvDocument, token: LocalToken, view: PolicyView):
     act_id = doc.add_activity(
         activity_id_for(token),
         label=token.task,
@@ -149,7 +91,7 @@ def _add_local(doc: ProvDocument, token: LocalToken, index: _ActivityIndex):
         phase_id=token.phase_id,
         goal_id=token.goal_id,
         start=token.timestamp,
-        end=index.end_time(token),
+        end=view.end_time(token),
         source_of_evidence=token.source_of_evidence,
         data_reference=token.data_reference,
     )
@@ -179,7 +121,7 @@ def _add_local(doc: ProvDocument, token: LocalToken, index: _ActivityIndex):
     doc.relate(doc.was_derived_from, (out_id, in_id))
 
 
-def _add_routed(doc: ProvDocument, token: RoutedToken, receive_time, index: _ActivityIndex):
+def _add_routed(doc: ProvDocument, token: RoutedToken, receive_time, view: PolicyView):
     tok_id = doc.add_entity(
         f"tok:{token.token_id}",
         label=token.previous_task_output or token.task_description,
@@ -191,7 +133,7 @@ def _add_routed(doc: ProvDocument, token: RoutedToken, receive_time, index: _Act
     )
     doc.add_agent(token.source_address)
     doc.add_agent(token.destination_address)
-    prev = index.previous(token.source_address, token.timestamp, token.previous_task)
+    prev = view.previous(token.source_address, token.timestamp, token.previous_task)
     if prev is None:
         doc.entities[tok_id]["external_origin"] = True
     else:
@@ -199,25 +141,20 @@ def _add_routed(doc: ProvDocument, token: RoutedToken, receive_time, index: _Act
         doc.entities[tok_id]["generated_at"] = token.timestamp
     if receive_time is None:
         return
-    nxt = index.next(token.destination_address, receive_time)
+    nxt = view.next(token.destination_address, receive_time)
     if nxt is not None:
         doc.relate(doc.used, (activity_id_for(nxt), tok_id))
         if prev is not None:
             doc.relate(doc.was_informed_by, (activity_id_for(nxt), activity_id_for(prev)))
 
 
-def token_to_prov_fragment(token, index: Optional[_ActivityIndex] = None, receive_time=None) -> ProvDocument:
+def token_to_prov_fragment(token, index: Optional[PolicyView] = None, receive_time=None) -> ProvDocument:
     """Map one token (or a send/receive pair) to a standalone fragment."""
     doc = ProvDocument()
-    if index is None:
-        index = _make_index(
-            [token] if isinstance(token, LocalToken) else [],
-            [token] if isinstance(token, RoutedToken) else [],
-        )
     if isinstance(token, LocalToken):
-        _add_local(doc, token, index)
+        _add_local(doc, token, index or PolicyView(token.policy_id, [token], [], {}))
     elif isinstance(token, RoutedToken):
-        _add_routed(doc, token, receive_time, index)
+        _add_routed(doc, token, receive_time, index or PolicyView(token.policy_id, [], [token], {}))
     else:
         raise TypeError(f"cannot map {type(token).__name__} to provenance")
     return doc
@@ -225,28 +162,19 @@ def token_to_prov_fragment(token, index: Optional[_ActivityIndex] = None, receiv
 
 def build_prov(log: EventLog, policy_id: str) -> ProvDocument:
     """Union of fragments over all events of the policy, in time order."""
-    locals_, sends, receives = _policy_tokens(log, policy_id)
-    index = _make_index(locals_, sends)
+    view = view_of(log, policy_id)
     doc = ProvDocument()
-    events = [(t.timestamp, 0, t) for t in locals_] + [(t.timestamp, 1, t) for t in sends]
-    events.sort(key=lambda item: (item[0], item[1]))
-    for _, tag, token in events:
-        if tag == 0:
-            _add_local(doc, token, index)
+    for token in sorted(view.locals + view.sends, key=attrgetter("timestamp")):  # locals first on ties
+        if isinstance(token, LocalToken):
+            _add_local(doc, token, view)
         else:
-            _add_routed(doc, token, receives.get(token.token_id), index)
+            _add_routed(doc, token, view.receives.get(token.token_id), view)
     return doc
 
 
 _PROV_KEYS = (
-    "entity",
-    "activity",
-    "agent",
-    "used",
-    "wasGeneratedBy",
-    "wasAssociatedWith",
-    "wasInformedBy",
-    "wasDerivedFrom",
+    "entity", "activity", "agent", "used",
+    "wasGeneratedBy", "wasAssociatedWith", "wasInformedBy", "wasDerivedFrom",
 )
 
 

@@ -16,11 +16,13 @@ Pattern rules (our operational formalization):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
-from .errors import UnknownPhaseError, UnknownPolicyError
-from .model import CommunicationPattern, LocalToken, RoutedToken, TokenKind
+from .errors import UnknownPhaseError
+from .model import CommunicationPattern, RoutedToken, TokenKind
 from .storage import EventLog
+from .view import PolicyView, activity_id_for, view_of, views_of
 
 EDGE_TYPES = {
     TokenKind.TASK_HANDOFF: "handoff",
@@ -93,87 +95,29 @@ class ProcessGraph:
         return chain
 
 
-def _node_id(token: LocalToken) -> str:
-    return f"act:{token.policy_id}/{token.who_carried_out.network_id}/{token.seq_num}"
-
-
-def _collect(log: EventLog, policy_id: str):
-    locals_, sends, receives = [], [], {}
-    seen = False
-    for rec in log:
-        if rec.body.get("policy_id") != policy_id:
-            continue
-        seen = True
-        if rec.event_kind == "local-token":
-            locals_.append(LocalToken.from_record(rec.body))
-        elif rec.event_kind == "routed-token-send":
-            sends.append(RoutedToken.from_record(rec.body))
-        elif rec.event_kind == "routed-token-receive":
-            receives[rec.body["token_id"]] = rec.logical_time
-    if not seen:
-        raise UnknownPolicyError(policy_id)
-    return locals_, sends, receives
-
-
-def _classify_sends(locals_: list[LocalToken], sends: list[RoutedToken], receives: dict):
-    """Pattern per delivered non-notification send, by the rules above."""
-    work_sends = [s for s in sends if s.kind is not TokenKind.NOTIFICATION]
-    # Actor timelines: (time, "local"|"send", token), time-ordered.
-    timelines: dict[str, list] = {}
-    for token in locals_:
-        timelines.setdefault(str(token.who_carried_out), []).append((token.timestamp, "local", token))
-    for token in work_sends:
-        timelines.setdefault(str(token.source_address), []).append((token.timestamp, "send", token))
-    for timeline in timelines.values():
-        timeline.sort(key=lambda item: item[0])
-
+def _classify_sends(view: PolicyView, actors) -> dict:
+    """Pattern per delivered non-notification send of the actors, by the rules above."""
     patterns: dict[str, CommunicationPattern] = {}
-    for actor, timeline in timelines.items():
-        i = 0
-        while i < len(timeline):
-            if timeline[i][1] != "send":
-                i += 1
+    for actor in actors:
+        _, timeline = view.timelines.get(actor, ((), ()))
+        for kind, run in groupby(timeline, key=type):
+            if kind is not RoutedToken:
                 continue
-            group = []
-            while i < len(timeline) and timeline[i][1] == "send":
-                group.append(timeline[i][2])
-                i += 1
-            last_send_time = max(t.timestamp for t in group)
-            next_act = next((time for time, _, _ in timeline if time > last_send_time), None)
-            responses = []
-            for sent in group:
-                arrival = _first_response(sent, work_sends, receives)
-                if arrival is not None:
-                    responses.append(arrival)
+            group = list(run)
+            next_act = view.next_activity(group[-1].source_address, group[-1].timestamp)
+            responses = [t for t in map(view.first_response, group) if t is not None]
             if not responses:
                 base = CommunicationPattern.SEQUENTIAL
             elif next_act is not None and next_act < min(responses):
                 base = CommunicationPattern.ASYNCHRONOUS
             else:
                 base = CommunicationPattern.SYNCHRONOUS
-            if len(group) >= 2:
-                if base is CommunicationPattern.SEQUENTIAL:
-                    pattern = CommunicationPattern.PARALLEL
-                else:
-                    pattern = CommunicationPattern.combine(base, parallel=True)
-            else:
-                pattern = base
+            if len(group) >= 2 and base is CommunicationPattern.SEQUENTIAL:
+                base = CommunicationPattern.PARALLEL
+            pattern = CommunicationPattern.combine(base, parallel=len(group) >= 2)
             for sent in group:
                 patterns[sent.token_id] = pattern
     return patterns
-
-
-def _first_response(sent: RoutedToken, sends: list[RoutedToken], receives: dict) -> Optional[int]:
-    """Arrival time of the first later token back from the receiver."""
-    arrivals = [
-        receives[t.token_id]
-        for t in sends
-        if t.token_id in receives
-        and t.source_address == sent.destination_address
-        and t.destination_address == sent.source_address
-        and t.timestamp > sent.timestamp
-    ]
-    return min(arrivals) if arrivals else None
 
 
 def reconstruct_process(
@@ -183,61 +127,41 @@ def reconstruct_process(
     include_notifications: bool = False,
 ) -> ProcessGraph:
     """Node per local-token activity, edge per delivered routed token."""
-    locals_, sends, receives = _collect(log, policy_id)
-    graph = ProcessGraph(policy_id)
-    by_actor: dict[str, list[LocalToken]] = {}
-    for token in sorted(locals_, key=lambda t: t.timestamp):
-        graph.nodes.append(
-            ProcessNode(
-                _node_id(token),
-                str(token.who_carried_out),
-                token.task,
-                token.phase_id,
-                token.goal_id,
-                token.seq_num,
-                token.timestamp,
-            )
-        )
-        by_actor.setdefault(str(token.who_carried_out), []).append(token)
+    return _graph(view_of(log, policy_id), phase_order, include_notifications)
 
-    patterns = _classify_sends(locals_, sends, receives)
-    for token in sorted(sends, key=lambda t: t.timestamp):
-        if token.token_id not in receives:
+
+def _graph(view: PolicyView, phase_order=None, include_notifications=False, keep=None) -> ProcessGraph:
+    """With `keep`, only the nodes it accepts and the edges between those (the induced subgraph)."""
+    graph = ProcessGraph(view.policy_id)
+    for t in view.locals:
+        node = ProcessNode(
+            activity_id_for(t), str(t.who_carried_out), t.task, t.phase_id, t.goal_id, t.seq_num, t.timestamp
+        )
+        if keep is None or keep(node):
+            graph.nodes.append(node)
+    kept = None if keep is None else {node.node_id for node in graph.nodes}
+    found = []
+    for token in view.sends if kept is None or kept else ():
+        if token.token_id not in view.receives:
             continue  # dead letters stay in the log, not in the process graph
         if token.kind is TokenKind.NOTIFICATION and not include_notifications:
             continue
-        receive_time = receives[token.token_id]
-        src_node = _latest_at(by_actor.get(str(token.source_address), ()), token.timestamp)
-        dst_node = _first_after(by_actor.get(str(token.destination_address), ()), receive_time)
-        graph.edges.append(
-            ProcessEdge(
-                token_id=token.token_id,
-                src_actor=str(token.source_address),
-                dst_actor=str(token.destination_address),
-                edge_type=EDGE_TYPES[token.kind],
-                pattern=patterns.get(token.token_id, token.communication_pattern),
-                time=token.timestamp,
-                receive_time=receive_time,
-                src_node=_node_id(src_node) if src_node else None,
-                dst_node=_node_id(dst_node) if dst_node else None,
-                kind=token.kind,
-            )
-        )
+        src = view.previous(token.source_address, token.timestamp)
+        dst = view.next(token.destination_address, view.receives[token.token_id])
+        src_node = activity_id_for(src) if src else None
+        dst_node = activity_id_for(dst) if dst else None
+        if kept is None or (src_node in kept and dst_node in kept):
+            found.append((token, src_node, dst_node))
+    patterns = _classify_sends(view, {str(token.source_address) for token, _, _ in found})
+    for token, src_node, dst_node in found:
+        graph.edges.append(ProcessEdge(
+            token.token_id, str(token.source_address), str(token.destination_address), EDGE_TYPES[token.kind],
+            patterns.get(token.token_id, token.communication_pattern), token.timestamp,
+            view.receives[token.token_id], src_node, dst_node, token.kind,
+        ))
     if phase_order is not None:
         graph.loop_markers = detect_loops(graph, phase_order)
     return graph
-
-
-def _latest_at(tokens, at: int) -> Optional[LocalToken]:
-    candidates = [t for t in tokens if t.timestamp <= at]
-    return candidates[-1] if candidates else None
-
-
-def _first_after(tokens, after: int) -> Optional[LocalToken]:
-    for token in tokens:
-        if token.timestamp >= after:
-            return token
-    return None
 
 
 def classify_pattern(graph: ProcessGraph, node_id: str) -> list[CommunicationPattern]:
@@ -280,22 +204,21 @@ def query(
     """Scan-and-filter over the log plus the induced subgraph of matches."""
     events = log.scan(policy_id=policy_id, goal_id=goal_id, phase_id=phase_id, actor=actor)
     policies = sorted({rec.body["policy_id"] for rec in events if "policy_id" in rec.body})
+
+    def keep(node: ProcessNode) -> bool:
+        return (
+            (goal_id is None or node.goal_id == goal_id)
+            and (phase_id is None or node.phase_id == phase_id)
+            and (actor is None or node.actor == actor or node.actor.rpartition("/")[2] == actor)
+        )
+
     nodes: list[ProcessNode] = []
     edges: list[ProcessEdge] = []
+    views = views_of(log, policies)
     for pid in policies:
-        graph = reconstruct_process(log, pid)
-        matched = [
-            n
-            for n in graph.nodes
-            if (goal_id is None or n.goal_id == goal_id)
-            and (phase_id is None or n.phase_id == phase_id)
-            and (actor is None or n.actor == actor or n.actor.rpartition("/")[2] == actor)
-        ]
-        matched_ids = {n.node_id for n in matched}
-        nodes.extend(matched)
-        edges.extend(
-            e for e in graph.edges if e.src_node in matched_ids and e.dst_node in matched_ids
-        )
+        graph = _graph(views[pid], keep=keep)
+        nodes.extend(graph.nodes)
+        edges.extend(graph.edges)
     return QueryResult(events, ProcessGraph(policy_id or ",".join(policies), nodes, edges))
 
 

@@ -111,6 +111,8 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
     goal_defs = {}
     for ref, spec in raw.get("goals", {}).items():
+        if "goal_id" not in spec:
+            raise ScenarioError(f"goal {ref} has no goal_id")
         if spec["phase"] not in phases:
             raise ScenarioError(f"goal {ref} uses unknown phase {spec['phase']}")
         for metric in spec.get("metrics", []):
@@ -233,7 +235,7 @@ class _Runner:
                     spec["name"],
                     _metrics_from(spec),
                     by=rule.actor,
-                    goal_id=spec.get("goal_id"),
+                    goal_id=spec["goal_id"],
                 )
             elif do == "local_token":
                 system.create_local_token(

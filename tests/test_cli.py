@@ -118,6 +118,14 @@ class TestExport:
         assert main(["export", str(log_path), "--prov", "--policy", "pol-2",
                      "-o", str(tmp_path / "x")]) == 0
 
+    @pytest.mark.parametrize("kind", ["--prov", "--graph"])
+    def test_unknown_policy_exits_2(self, run_dir, tmp_path, capsys, kind):
+        out = tmp_path / "x.dot"
+        assert main(["export", str(run_dir / "events.jsonl"), kind, "--policy", "pol-9",
+                     "-o", str(out)]) == 2
+        assert "unknown policy: pol-9" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["export", str(tmp_path / "nope.jsonl"), "--prov",
                      "-o", str(tmp_path / "x")]) == 2

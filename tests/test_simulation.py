@@ -105,6 +105,12 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="unknown phase"):
             load_scenario(raw)
 
+    def test_goal_without_goal_id_rejected(self):
+        raw = minimal_scenario()
+        raw["goals"]["g"].pop("goal_id")
+        with pytest.raises(ScenarioError, match="goal g has no goal_id"):
+            load_scenario(raw)
+
     def test_rule_without_trigger_rejected(self):
         raw = minimal_scenario()
         raw["behaviors"][0]["rules"][0].pop("trigger")

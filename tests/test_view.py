@@ -1,0 +1,145 @@
+"""PolicyView lookups against linear-scan definitions, on random actor timelines."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from policyprov.errors import UnknownPolicyError
+from policyprov.model import Address, LocalToken, TokenKind
+from policyprov.storage import EventLog
+from policyprov.view import view_of, views_of
+
+from test_model import make_local, make_routed
+
+ACTORS = (Address("n0", "a"), Address("n0", "b"), Address("n1", "c"))
+TASKS = ("analyse", "review", "")
+TIMES = st.integers(-1, 70)
+
+
+@st.composite
+def timelines(draw):
+    """Tokens of one policy in log order (times never decrease), and arrivals."""
+    events, arrivals, time = [], {}, 0
+    for i in range(draw(st.integers(0, 40))):
+        time += draw(st.integers(0, 2))
+        actor = draw(st.sampled_from(ACTORS))
+        if draw(st.booleans()):
+            task = draw(st.sampled_from(TASKS))
+            events.append(make_local(token_id=f"t{i}", who_carried_out=actor, task=task, timestamp=time))
+            continue
+        dest = draw(st.sampled_from([a for a in ACTORS if a != actor]))
+        kind = draw(st.sampled_from(list(TokenKind)))
+        events.append(make_routed(token_id=f"t{i}", source_address=actor, destination_address=dest,
+                                  communication_with=dest, kind=kind, timestamp=time))
+        if draw(st.booleans()):
+            arrivals[f"t{i}"] = time + draw(st.integers(0, 12))
+    return events, arrivals
+
+
+def log_of(events, arrivals, policy_id="pol-1") -> EventLog:
+    log = EventLog()
+    for token in events:
+        kind = "local-token" if isinstance(token, LocalToken) else "routed-token-send"
+        log.append(kind, {**token.to_record(), "policy_id": policy_id}, token.timestamp)
+    for token in events:
+        if token.token_id in arrivals:
+            log.append("routed-token-receive", {**token.to_record(), "policy_id": policy_id},
+                       arrivals[token.token_id])
+    log.append("decision", {"policy_id": policy_id, "decision": "policy-created"}, 0)
+    return log
+
+
+def locals_of(events):
+    return [t for t in events if isinstance(t, LocalToken)]
+
+
+def actor_of(token):
+    return token.who_carried_out if isinstance(token, LocalToken) else token.source_address
+
+
+def is_work_send(token):
+    return not isinstance(token, LocalToken) and token.kind is not TokenKind.NOTIFICATION
+
+
+# The definitions the view must match, one linear scan each.
+def previous(events, actor, at, task=None):
+    found = [t for t in locals_of(events) if t.who_carried_out == actor and t.timestamp <= at]
+    return ([t for t in found if task and t.task == task] or found or [None])[-1]
+
+
+def next_(events, actor, after):
+    return next((t for t in locals_of(events) if t.who_carried_out == actor and t.timestamp >= after), None)
+
+
+def end_time(events, token):
+    return min((t.timestamp for t in events if actor_of(t) == token.who_carried_out
+                and t.timestamp > token.timestamp), default=token.timestamp)
+
+
+def first_response(events, arrivals, sent):
+    return min((arrivals[t.token_id] for t in events if is_work_send(t) and t.token_id in arrivals
+                and t.source_address == sent.destination_address
+                and t.destination_address == sent.source_address and t.timestamp > sent.timestamp),
+               default=None)
+
+
+def next_activity(events, actor, after):
+    return min((t.timestamp for t in events if (isinstance(t, LocalToken) or is_work_send(t))
+                and actor_of(t) == actor and t.timestamp > after), default=None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(timelines(), TIMES)
+def test_previous_and_next(timeline, at):
+    events, arrivals = timeline
+    view = view_of(log_of(events, arrivals), "pol-1")
+    for actor in ACTORS:
+        assert view.next(actor, at) == next_(events, actor, at)
+        for task in (None,) + TASKS:
+            assert view.previous(actor, at, task) == previous(events, actor, at, task)
+
+
+@settings(max_examples=100, deadline=None)
+@given(timelines())
+def test_end_time(timeline):
+    events, arrivals = timeline
+    view = view_of(log_of(events, arrivals), "pol-1")
+    for token in locals_of(events):
+        assert view.end_time(token) == end_time(events, token)
+
+
+@settings(max_examples=100, deadline=None)
+@given(timelines())
+def test_first_response(timeline):
+    events, arrivals = timeline
+    view = view_of(log_of(events, arrivals), "pol-1")
+    for sent in filter(is_work_send, events):
+        assert view.first_response(sent) == first_response(events, arrivals, sent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(timelines(), TIMES)
+def test_next_activity(timeline, after):
+    events, arrivals = timeline
+    view = view_of(log_of(events, arrivals), "pol-1")
+    for actor in ACTORS:
+        assert view.next_activity(actor, after) == next_activity(events, actor, after)
+
+
+@settings(max_examples=50, deadline=None)
+@given(timelines(), timelines())
+def test_one_pass_views_equal_separate_views(first, second):
+    log = log_of(*first)
+    for rec in log_of(*second, policy_id="pol-2"):
+        log.append(rec.event_kind, rec.body, rec.logical_time)
+    together = views_of(log, ["pol-1", "pol-2"])
+    for pid in ("pol-1", "pol-2"):
+        alone = view_of(log, pid)
+        assert (together[pid].locals, together[pid].sends, together[pid].receives) == (
+            alone.locals, alone.sends, alone.receives)
+
+
+def test_unknown_policy_raises():
+    log = log_of([make_local()], {})
+    with pytest.raises(UnknownPolicyError):
+        views_of(log, ["pol-1", "pol-9"])

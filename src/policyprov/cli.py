@@ -1,6 +1,7 @@
 """Command-line entry point: run scenarios, query the log, export provenance.
 
-Exit codes: 0 success, 2 input/scenario errors, 3 runaway scenario.
+Exit codes: 0 success, 2 input/scenario errors (and any other policyprov
+error a run raises), 3 runaway scenario.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import RunawayScenarioError, ScenarioError, UnknownPolicyError
+from .errors import PolicyProvError, RunawayScenarioError, ScenarioError, UnknownPolicyError
 from .prov import build_prov, export_prov_json
 from .reconstruct import reconstruct_process, to_dot
 from .simulation import load_scenario, run, trace_report
@@ -37,6 +38,9 @@ def cmd_run(args) -> int:
     except RunawayScenarioError as exc:
         print(f"runaway scenario: {exc}", file=sys.stderr)
         return 3
+    except PolicyProvError as exc:
+        print(f"run failed: {exc.code}: {exc}", file=sys.stderr)
+        return 2
     (out_dir / "trace.txt").write_text(trace_report(trace), encoding="utf-8")
     (out_dir / "goals.json").write_text(
         json.dumps(trace.goal_snapshots, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -26,6 +26,12 @@ class UnknownGoalError(PolicyProvError):
     code = "unknown-goal"
 
 
+class DuplicateGoalError(PolicyProvError):
+    """A goal id is already used by a goal of another policy."""
+
+    code = "duplicate-goal"
+
+
 class LastMetricError(PolicyProvError):
     code = "removing-last-metric"
 

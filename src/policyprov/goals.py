@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 from .errors import (
     AlreadyTerminatedError,
+    DuplicateGoalError,
     EmptyMetricsError,
     LastMetricError,
     NotOwnerError,
@@ -130,6 +131,31 @@ class GoalDisplaySnapshot:
     goals: list[dict]
     snapshot_time: int
 
+    @classmethod
+    def of(cls, policy_id: str, goals: list[Goal], snapshot_time: int) -> "GoalDisplaySnapshot":
+        return cls(
+            policy_id,
+            [
+                {
+                    "goal_id": g.goal_id,
+                    "name": g.name,
+                    "phase_id": g.phase_id,
+                    "status": g.status.value,
+                    "version": g.version,
+                    "metrics": [
+                        {
+                            "metric_id": m.metric_id,
+                            "status": m.status.value,
+                            "satisfied_by": m.satisfied_by,
+                        }
+                        for m in g.metrics
+                    ],
+                }
+                for g in goals
+            ],
+            snapshot_time,
+        )
+
     def to_record(self) -> dict:
         return {
             "policy_id": self.policy_id,
@@ -163,6 +189,9 @@ class GoalEngine:
         self.phases = tuple(phases)
         self.on_goal_satisfied = on_goal_satisfied
         self._goals: dict[str, Goal] = {}
+        # Each policy's goals in definition order: the index every token's
+        # stamping and evaluation reads instead of walking all goals.
+        self._by_policy: dict[str, list[Goal]] = {}
         self._counter = 0
 
     # -- registry views -------------------------------------------------
@@ -178,11 +207,11 @@ class GoalEngine:
             raise UnknownGoalError(goal_id) from None
 
     def goals_for(self, policy_id: str) -> list[Goal]:
-        return [g for g in self._goals.values() if g.policy_id == policy_id]
+        return list(self._by_policy.get(policy_id, ()))
 
     def current_goal(self, policy_id: str) -> Optional[Goal]:
         """Earliest still-unsatisfied goal, else the last defined one."""
-        goals = self.goals_for(policy_id)
+        goals = self._by_policy.get(policy_id, ())
         for goal in goals:
             if goal.status is not GoalStatus.SATISFIED:
                 return goal
@@ -208,8 +237,16 @@ class GoalEngine:
         if goal_id is None:
             self._counter += 1
             goal_id = f"g-{self._counter}"
+        old = self._goals.get(goal_id)
+        if old is not None and old.policy_id != policy.policy_id:
+            raise DuplicateGoalError(f"{goal_id} already belongs to {old.policy_id}")
         goal = Goal(goal_id, policy.policy_id, phase, name, list(metrics))
         self._goals[goal_id] = goal
+        goals = self._by_policy.setdefault(policy.policy_id, [])
+        if old is None:
+            goals.append(goal)
+        else:  # redefined in place, as the fold over the log replaces it
+            goals[goals.index(old)] = goal
         self._log.append("goal-defined", goal.to_record() | {"by": str(by)}, self._clock.tick())
         return goal
 
@@ -263,9 +300,17 @@ class GoalEngine:
     # -- continuous monitoring --------------------------------------------
 
     def evaluate_event(self, event) -> list[MetricChange]:
-        """Match an appended token or data record against pending metrics."""
+        """Match an appended token or data record against pending metrics.
+
+        A token can only satisfy its own policy's goals; a data record has no
+        policy and is matched against every goal.
+        """
         changes: list[MetricChange] = []
-        for goal in list(self._goals.values()):
+        if isinstance(event, (LocalToken, RoutedToken)):
+            goals = list(self._by_policy.get(event.policy_id, ()))
+        else:
+            goals = list(self._goals.values())
+        for goal in goals:
             for metric in goal.metrics:
                 if metric.status is not MetricStatus.PENDING:
                     continue
@@ -339,29 +384,7 @@ class GoalEngine:
         if policy_id not in self._policies:
             raise UnknownPolicyError(policy_id)
         goals = fold_goal_state(self._log, policy_id, upto=upto)
-        snapshot_time = self._clock.now
-        return GoalDisplaySnapshot(
-            policy_id,
-            [
-                {
-                    "goal_id": g.goal_id,
-                    "name": g.name,
-                    "phase_id": g.phase_id,
-                    "status": g.status.value,
-                    "version": g.version,
-                    "metrics": [
-                        {
-                            "metric_id": m.metric_id,
-                            "status": m.status.value,
-                            "satisfied_by": m.satisfied_by,
-                        }
-                        for m in g.metrics
-                    ],
-                }
-                for g in goals
-            ],
-            snapshot_time,
-        )
+        return GoalDisplaySnapshot.of(policy_id, goals, self._clock.now)
 
 
 def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Optional[int] = None) -> list[Goal]:

@@ -79,7 +79,6 @@ class NetworkEngine:
         self.networks: dict[str, Network] = {}
         self.links: set[frozenset] = set()
         self._delivered: set[str] = set()
-        self._token_ids: set[str] = set()
         self._policy_counter = 0
         # Simulation hook: called with each delivered RoutedToken.
         self.on_delivered: Optional[Callable[[RoutedToken], None]] = None
@@ -355,9 +354,7 @@ class NetworkEngine:
         return StakeholderNature.EXTERNAL
 
     def _new_token_id(self) -> str:
-        token_id = str(uuid.UUID(int=self._rng.getrandbits(128), version=4))
-        self._token_ids.add(token_id)
-        return token_id
+        return str(uuid.UUID(int=self._rng.getrandbits(128), version=4))
 
 
 def _event_actor(event) -> Optional[Address]:

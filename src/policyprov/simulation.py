@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import RunawayScenarioError, ScenarioError
-from .goals import Metric, MetricKind
+from .goals import GoalDisplaySnapshot, Metric, MetricKind, fold_goal_state
 from .model import Address, ArtifactNature, CommunicationPattern, RoutedToken, TokenKind
 from .system import PolicySystem
 
@@ -179,11 +179,16 @@ class _Runner:
             (r for r in scenario.rules if "at_time" in r.trigger),
             key=lambda r: (r.trigger["at_time"], r.rule_id),
         )
-        self.receive_rules = [r for r in scenario.rules if "on_receive" in r.trigger]
+        # Receive rules by actor, each list in rule_id order: a delivery is
+        # only ever matched against its destination's rules.
+        self.receive_rules: dict[Address, list[Rule]] = {}
+        for rule in scenario.rules:
+            if "on_receive" in rule.trigger:
+                self.receive_rules.setdefault(rule.actor, []).append(rule)
         system.network.on_delivered = self._on_delivered
 
     def _on_delivered(self, token: RoutedToken):
-        for rule in self.receive_rules:
+        for rule in self.receive_rules.get(token.destination_address, ()):
             if rule.rule_id in self.fired and rule.once:
                 continue
             if rule.matches(token):
@@ -329,8 +334,13 @@ def trace_of(system: PolicySystem) -> RunTrace:
             message_counts[rec.body["source_address"].partition("/")[0]] += 1
         elif rec.event_kind == "receipt":
             receipt_summary[rec.body["outcome"]] += 1
+    goals_by_policy: dict[str, list] = {}
+    for goal in fold_goal_state(log):
+        goals_by_policy.setdefault(goal.policy_id, []).append(goal)
     snapshots = {
-        policy_id: system.goal_display_snapshot(policy_id).to_record()
+        policy_id: GoalDisplaySnapshot.of(
+            policy_id, goals_by_policy.get(policy_id, []), system.clock.now
+        ).to_record()
         for policy_id in system.policies
     }
     return RunTrace(

@@ -89,6 +89,9 @@ class EventLog:
 
     def __init__(self, path: Optional[Path] = None):
         self._records: list[EventRecord] = []
+        # Running SHA-256 over the JSON lines of the first `_hashed` records.
+        self._digest = hashlib.sha256()
+        self._hashed = 0
         self._path = Path(path) if path else None
         self._fh = None
         if self._path is not None:
@@ -101,8 +104,13 @@ class EventLog:
         record = EventRecord(len(self._records), event_kind, logical_time, body)
         self._records.append(record)
         if self._fh is not None:
-            self._fh.write(record.to_json() + "\n")
+            # The file is only ever opened in __init__, so every earlier
+            # record was hashed here too.
+            line = record.to_json() + "\n"
+            self._fh.write(line)
             self._fh.flush()
+            self._digest.update(line.encode("utf-8"))
+            self._hashed += 1
         return record.offset
 
     def scan(
@@ -143,11 +151,11 @@ class EventLog:
         return self._records[offset]
 
     def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        for rec in self._records:
-            digest.update(rec.to_json().encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        """SHA-256 of the log's JSON Lines form; each record is hashed once."""
+        for rec in self._records[self._hashed :]:
+            self._digest.update((rec.to_json() + "\n").encode("utf-8"))
+        self._hashed = len(self._records)
+        return self._digest.copy().hexdigest()
 
     def close(self):
         if self._fh is not None:

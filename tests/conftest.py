@@ -285,6 +285,56 @@ def random_scenario_dict(seed: int) -> dict:
     }
 
 
+def two_policy_scenario_dict(second_goal: str = "gb") -> dict:
+    """alpha and beta each submit a policy; the owner gives each its goal
+    (`second_goal` for beta's) and hands the submitter the task that meets it."""
+
+    def owner_rule(submitter: str, goal: str) -> dict:
+        return {
+            "trigger": {"on_receive": {"kind": "notification", "from": submitter,
+                                       "task_description_contains": "submission"}},
+            "actions": [
+                {"do": "define_goal", "goal": goal},
+                {"do": "send_token", "to": submitter, "previous_task": "review",
+                 "previous_task_output": "brief", "task_description": "write it up"},
+            ],
+        }
+
+    def submitter(actor: str, at_time: int, output: str) -> dict:
+        return {
+            "actor": actor,
+            "rules": [
+                {"trigger": {"at_time": at_time},
+                 "actions": [{"do": "submit_policy", "payload": f"idea {actor}", "media_hint": "idea"}]},
+                {"trigger": {"on_receive": {"kind": "task-handoff"}},
+                 "actions": [{"do": "local_token", "task": "write", "task_input": "notes",
+                              "task_output": output, "task_description": "write it up",
+                              "source_of_evidence": "brief"}]},
+            ],
+        }
+
+    return {
+        "name": "two-policies",
+        "seed": 5,
+        "phases": ["agenda-setting", "analysis"],
+        "networks": [{"id": "net", "actors": ["owner", "alpha", "beta"]}],
+        "links": [],
+        "owner": "net/owner",
+        "goals": {
+            "ga": {"goal_id": "g-a", "phase": "agenda-setting", "name": "report a",
+                   "metrics": [{"kind": "artifact-delivery", "artifact": "report a"}]},
+            "gb": {"goal_id": "g-b", "phase": "analysis", "name": "report b",
+                   "metrics": [{"kind": "artifact-delivery", "artifact": "report b"}]},
+        },
+        "behaviors": [
+            submitter("net/alpha", 0, "report a"),
+            submitter("net/beta", 1, "report b"),
+            {"actor": "net/owner",
+             "rules": [owner_rule("net/alpha", "ga"), owner_rule("net/beta", second_goal)]},
+        ],
+    }
+
+
 def run_random_scenario(seed: int):
     from policyprov import run
 

@@ -8,6 +8,14 @@ import pytest
 from policyprov import fixture_path
 from policyprov.cli import main
 
+from conftest import two_policy_scenario_dict
+
+
+def non_owner_defines_goal() -> dict:
+    raw = two_policy_scenario_dict()
+    raw["behaviors"][0]["rules"][0]["actions"].append({"do": "define_goal", "goal": "ga"})
+    return raw
+
 
 @pytest.fixture()
 def run_dir(tmp_path):
@@ -50,6 +58,18 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"networks": [], "owner": "net/owner"}))
         assert main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("raw, code", [
+        (two_policy_scenario_dict(second_goal="ga"), "duplicate-goal"),
+        (non_owner_defines_goal(), "not-owner"),
+    ], ids=["goal-reused-by-second-policy", "goal-defined-by-non-owner"])
+    def test_error_raised_mid_run_exits_2(self, tmp_path, capsys, raw, code):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        assert main(["run", str(scenario), "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"run failed: {code}: ")
+        assert err.count("\n") == 1
 
     def test_runaway_exits_3(self, tmp_path):
         code = main(["run", str(fixture_path("neighbourhood_safety")),

@@ -1,10 +1,13 @@
 """Goal definition, modification, metric matching, and snapshots."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from policyprov import Metric, MetricKind, TokenKind
+from policyprov import Metric, MetricKind, TokenKind, load_scenario
 from policyprov.errors import (
     AlreadyTerminatedError,
+    DuplicateGoalError,
     EmptyMetricsError,
     LastMetricError,
     NotOwnerError,
@@ -13,8 +16,31 @@ from policyprov.errors import (
     UnknownPhaseError,
 )
 from policyprov.goals import GoalStatus, MetricStatus, canonical_artifact, fold_goal_state
+from policyprov.simulation import _Runner, build_system
 
-from conftest import BCU, NWT, OWNER, SNT, define_default_goal, make_system, open_policy
+from conftest import (
+    BCU,
+    NWT,
+    OWNER,
+    SNT,
+    define_default_goal,
+    make_system,
+    open_policy,
+    random_scenario_dict,
+)
+
+
+def define_report_goal(system, policy, goal_id, name="report", artifact="report"):
+    return system.define_goal(
+        policy.policy_id, "agenda-setting", name,
+        [Metric(f"{goal_id}-m1", MetricKind.ARTIFACT_DELIVERY, artifact_key=artifact)],
+        by=OWNER, goal_id=goal_id,
+    )
+
+
+def write(system, policy, output):
+    return system.create_local_token(SNT, policy.policy_id, task="write", task_input="notes",
+                                     task_output=output, task_description="write")
 
 
 class TestCanonicalArtifact:
@@ -81,6 +107,27 @@ class TestDefineGoal:
                                   [Metric("m", MetricKind.APPROVAL, approver=BCU)], by=OWNER)
         assert goal.goal_id == "g-1"
 
+    def test_goal_id_of_another_policy_rejected(self):
+        system = make_system()
+        first = open_policy(system)
+        second = open_policy(system, payload=b"second idea")
+        define_report_goal(system, first, "g-x")
+        with pytest.raises(DuplicateGoalError):
+            define_report_goal(system, second, "g-x")
+        assert write(system, first, "draft").goal_id == "g-x"
+        assert system.goals.goals_for(second.policy_id) == []
+        assert len(system.log.scan(event_kind="goal-defined")) == 1
+
+    def test_redefinition_within_a_policy_replaces_in_place(self):
+        system = make_system()
+        policy = open_policy(system)
+        define_report_goal(system, policy, "g-x")
+        define_report_goal(system, policy, "g-y")
+        define_report_goal(system, policy, "g-x", name="renamed")
+        live = [g.to_record() for g in system.goals.goals_for(policy.policy_id)]
+        assert [(g["goal_id"], g["name"]) for g in live] == [("g-x", "renamed"), ("g-y", "report")]
+        assert live == [g.to_record() for g in fold_goal_state(system.log, policy.policy_id)]
+
 
 class TestMetricMatching:
     def test_local_token_output_satisfies_artifact_metric(self):
@@ -127,6 +174,26 @@ class TestMetricMatching:
         system.put_data(b"...", SNT, "problem analysis document")
         hits = system.log.scan(event_kind="metric-satisfied")
         assert len(hits) == 1
+
+    def test_token_satisfies_only_its_own_policys_goals(self):
+        system = make_system()
+        first = open_policy(system)
+        second = open_policy(system, payload=b"second idea")
+        define_report_goal(system, first, "g-1")
+        define_report_goal(system, second, "g-2")
+        write(system, second, "report")
+        assert [rec.body["goal_id"] for rec in system.log.scan(event_kind="metric-satisfied")] == ["g-2"]
+
+    def test_stored_data_is_matched_against_every_policy(self):
+        system = make_system()
+        first = open_policy(system)
+        second = open_policy(system, payload=b"second idea")
+        define_report_goal(system, first, "g-1")
+        define_report_goal(system, second, "g-2")
+        system.put_data(b"...", SNT, "report")
+        assert [rec.body["goal_id"] for rec in system.log.scan(event_kind="metric-satisfied")] == [
+            "g-1", "g-2",
+        ]
 
     def test_undelivered_send_does_not_satisfy(self):
         system = make_system()
@@ -268,3 +335,28 @@ class TestSnapshots:
             m.status for m in live.metrics
         ]
         assert folded[goal.goal_id].metrics[0].status is MetricStatus.SATISFIED
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_live_goals_equal_the_fold_after_every_record(seed):
+    """The live engine is a cache of the log: after each appended record, every
+    policy's goals equal the fold over the log up to that record."""
+    scenario = load_scenario(random_scenario_dict(seed))
+    system = build_system(scenario)
+    log, append = system.log, system.log.append
+    mismatches = []
+
+    def checked_append(event_kind, body, logical_time):
+        offset = append(event_kind, body, logical_time)
+        for policy_id in system.policies:
+            live = [g.to_record() for g in system.goals.goals_for(policy_id)]
+            folded = [g.to_record() for g in fold_goal_state(log, policy_id, upto=offset)]
+            if live != folded:
+                mismatches.append((offset, event_kind, policy_id))
+        return offset
+
+    log.append = checked_append
+    _Runner(scenario, system, step_budget=1000).run()
+    assert len(log) > 0
+    assert mismatches == []

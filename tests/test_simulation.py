@@ -4,10 +4,22 @@ import json
 
 import pytest
 
-from policyprov import fixture_path, load_scenario, run, trace_report
-from policyprov.errors import RunawayScenarioError, ScenarioError
+from policyprov import Address, Metric, MetricKind, TokenKind, fixture_path, load_scenario, run, trace_report
+from policyprov.errors import DuplicateGoalError, RunawayScenarioError, ScenarioError
+from policyprov.simulation import Rule, _Runner, build_system, trace_of
 
-from conftest import random_scenario_dict
+from conftest import random_scenario_dict, two_policy_scenario_dict
+
+FIXTURES = [
+    "neighbourhood_safety",
+    "change_control_board",
+    "pattern_sequential",
+    "pattern_parallel",
+    "pattern_synchronous",
+    "pattern_asynchronous",
+    "pattern_async_parallel",
+    "loop_phases",
+]
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -166,6 +178,53 @@ class TestRunning:
     def test_random_scenarios_always_quiesce(self):
         for seed in range(20):
             run(load_scenario(random_scenario_dict(seed)))
+
+
+class TestScheduler:
+    def test_delivery_only_tries_its_destination_rules_in_rule_id_order(self, monkeypatch):
+        def on(cond):
+            return {"trigger": {"on_receive": cond}, "actions": []}
+
+        scenario = load_scenario({
+            "networks": [{"id": "net", "actors": ["owner", "alpha", "beta"]}],
+            "owner": "net/owner",
+            "behaviors": [
+                {"actor": "net/alpha", "rules": [on({"kind": "task-handoff"}),
+                                                 on({"kind": "approval-request"})]},
+                {"actor": "net/beta", "rules": [on({})]},
+                {"actor": "net/alpha", "rules": [on({"from": "net/owner"})]},
+            ],
+        })
+        system = build_system(scenario)
+        runner = _Runner(scenario, system, step_budget=10)
+        owner, alpha = Address("net", "owner"), Address("net", "alpha")
+        policy, _, _ = system.notify_new_policy(system.put_data(b"idea", owner, "idea"), owner)
+        system.define_goal(policy.policy_id, "agenda-setting", "report",
+                           [Metric("m1", MetricKind.ARTIFACT_DELIVERY, artifact_key="report")], by=owner)
+        tried = []
+        matches = Rule.matches
+        monkeypatch.setattr(Rule, "matches", lambda rule, token: tried.append(rule.rule_id) or matches(rule, token))
+        token, _ = system.send_token(owner, policy.policy_id, destination=alpha, kind=TokenKind.TASK_HANDOFF,
+                                     previous_task="review", previous_task_output="brief",
+                                     task_description="write it up")
+        assert tried == [0, 1, 3]
+        assert [(rule.rule_id, queued) for rule, queued in runner.pending] == [(0, token), (3, token)]
+
+
+class TestTraceOf:
+    @pytest.mark.parametrize("raw", [fixture_path(name) for name in FIXTURES] + [two_policy_scenario_dict()],
+                             ids=FIXTURES + ["two-policies"])
+    def test_snapshots_equal_one_display_snapshot_per_policy(self, raw):
+        scenario = load_scenario(raw)
+        system = build_system(scenario)
+        _Runner(scenario, system, step_budget=1000).run()
+        expected = {p: system.goal_display_snapshot(p).to_record() for p in system.policies}
+        assert trace_of(system).goal_snapshots == expected
+        assert all(snapshot["goals"] for snapshot in expected.values())
+
+    def test_goal_id_reused_by_another_policy_stops_the_run(self):
+        with pytest.raises(DuplicateGoalError):
+            run(load_scenario(two_policy_scenario_dict(second_goal="ga")))
 
 
 class TestTraceReport:

@@ -1,12 +1,13 @@
 """Event log, logical clock, and content-addressed data store."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from policyprov import Address, DataStore, EventLog, LogicalClock
+from policyprov import Address, DataStore, EventLog, LogicalClock, fixture_path, load_scenario, run
 from policyprov.errors import UnknownDataIdError
 from policyprov.storage import EVENT_KINDS
 
@@ -62,6 +63,42 @@ class TestEventLog:
         log.append("decision", {"b": 1, "a": 2}, 1)
         parsed = json.loads(log[0].to_json())
         assert list(parsed) == sorted(parsed)
+
+
+def full_hash(log) -> str:
+    """The log hash recomputed from every record."""
+    digest = hashlib.sha256()
+    for rec in log:
+        digest.update(rec.to_json().encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestContentHash:
+    def test_equals_full_recomputation_on_disk_memory_and_loaded_logs(self, tmp_path):
+        scenario = load_scenario(fixture_path("neighbourhood_safety"))
+        path = tmp_path / "events.jsonl"
+        on_disk = run(scenario, log_path=path).log
+        in_memory = run(scenario).log
+        loaded = EventLog.load(path)
+        for log in (on_disk, in_memory, loaded):
+            assert log.content_hash() == full_hash(log)
+        assert on_disk.content_hash() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert in_memory.content_hash() == loaded.content_hash() == on_disk.content_hash()
+
+    @pytest.mark.parametrize("persisted", [True, False])
+    def test_follows_appends_after_a_read(self, tmp_path, persisted):
+        log = EventLog(tmp_path / "events.jsonl" if persisted else None)
+        hashes = [log.content_hash()]
+        for i in range(4):
+            log.append("decision", {"policy_id": "pol-1", "n": i}, i + 1)
+            if i % 2:
+                hashes.append(log.content_hash())
+                assert hashes[-1] == full_hash(log)
+        log.close()
+        log.append("decision", {"policy_id": "pol-1", "n": 4}, 5)
+        assert log.content_hash() == full_hash(log)
+        assert len(set(hashes)) == len(hashes)
 
 
 # Small structured strategy: logs of a few records with overlapping field values.

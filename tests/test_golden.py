@@ -1,9 +1,10 @@
-"""Golden digests of every PROV-JSON, DOT and query output.
+"""Golden digests of every log, goal snapshot, PROV-JSON, DOT and query output.
 
 `golden_digests.json` holds SHA-256 digests of the outputs on the eight
 bundled fixtures, on one hand-built log that interleaves two policies, and
-over the 1,000 seeded random runs. Any change to an output's bytes or order
-fails here. Regenerate the file only for an intended output change:
+over the 1,000 seeded random runs, plus each fixture run's log hash and goal
+snapshots and one digest over the random runs' log hashes and snapshots.
+Any change to an output's bytes or order fails here. Regenerate the file only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -107,6 +108,17 @@ def random_digest(traces) -> str:
     return digest.hexdigest()
 
 
+def run_digests(trace) -> dict:
+    return {"log_hash": trace.log_hash, "goal_snapshots": sha(json.dumps(trace.goal_snapshots, sort_keys=True))}
+
+
+def random_run_digest(traces) -> str:
+    digest = hashlib.sha256()
+    for seed, trace in traces:
+        digest.update(f"{seed} {json.dumps(run_digests(trace), sort_keys=True)}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
 def two_policy_log():
     """Two policies whose tokens interleave, with responses both ways."""
     system = make_system()
@@ -153,6 +165,15 @@ def test_fixture_outputs_match_golden(name, fixture_traces):
     assert log_digests(fixture_traces[name][1].log) == golden()["fixtures"][name]
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_run_matches_golden(name, fixture_traces):
+    assert run_digests(fixture_traces[name][1]) == golden()["runs"]["fixtures"][name]
+
+
+def test_random_runs_match_golden(random_traces):
+    assert random_run_digest(random_traces) == golden()["runs"]["random_traces"]
+
+
 def test_two_policy_outputs_match_golden():
     assert log_digests(two_policy_log()) == golden()["two_policies"]
 
@@ -166,13 +187,16 @@ if __name__ == "__main__":
 
     from conftest import run_random_scenario
 
-    fixtures = {
-        name: log_digests(pp.run(pp.load_scenario(pp.fixture_path(name))).log) for name in FIXTURES
-    }
+    fixture_runs = {name: pp.run(pp.load_scenario(pp.fixture_path(name))) for name in FIXTURES}
+    random_runs = [(seed, run_random_scenario(seed)) for seed in range(1000)]
     payload = {
-        "fixtures": fixtures,
+        "fixtures": {name: log_digests(trace.log) for name, trace in fixture_runs.items()},
         "two_policies": log_digests(two_policy_log()),
-        "random_traces": random_digest((seed, run_random_scenario(seed)) for seed in range(1000)),
+        "random_traces": random_digest(random_runs),
+        "runs": {
+            "fixtures": {name: run_digests(trace) for name, trace in fixture_runs.items()},
+            "random_traces": random_run_digest(random_runs),
+        },
     }
     GOLDEN.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -1,7 +1,7 @@
 """Command-line entry point: run scenarios, query the log, export provenance.
 
-Exit codes: 0 success, 2 input/scenario errors (and any other policyprov
-error a run raises), 3 runaway scenario.
+Exit codes: 0 success, 2 input/scenario errors (an unreadable or corrupt log,
+and any other policyprov error a run raises), 3 runaway scenario.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
-from .errors import PolicyProvError, RunawayScenarioError, ScenarioError, UnknownPolicyError
+from .errors import CorruptLogError, PolicyProvError, RunawayScenarioError, ScenarioError, UnknownPolicyError
 from .prov import build_prov, export_prov_json
 from .reconstruct import reconstruct_process, to_dot
 from .simulation import load_scenario, run, trace_report
@@ -49,15 +50,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _load_log(path) -> EventLog:
-    return EventLog.load(path)
+def _load_log(path) -> Optional[EventLog]:
+    """The log at `path`, or None after saying why it cannot be read."""
+    try:
+        return EventLog.load(path)
+    except (OSError, CorruptLogError) as exc:
+        print(f"cannot read log: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_query(args) -> int:
-    try:
-        log = _load_log(args.log)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read log: {exc}", file=sys.stderr)
+    log = _load_log(args.log)
+    if log is None:
         return 2
     offset_range = None
     if args.offsets:
@@ -84,10 +88,8 @@ def _default_policy(log: EventLog):
 
 
 def cmd_export(args) -> int:
-    try:
-        log = _load_log(args.log)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read log: {exc}", file=sys.stderr)
+    log = _load_log(args.log)
+    if log is None:
         return 2
     policy_id = args.policy or _default_policy(log)
     if policy_id is None:

@@ -82,6 +82,12 @@ class UnknownDataIdError(PolicyProvError):
     code = "unknown-data-id"
 
 
+class CorruptLogError(PolicyProvError):
+    """A log line is not a JSON object holding offset, event_kind, logical_time and body."""
+
+    code = "corrupt-log"
+
+
 class ScenarioError(PolicyProvError):
     code = "scenario-error"
 

@@ -7,7 +7,7 @@ two snapshots over the same prefix are always identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -22,7 +22,7 @@ from .errors import (
     UnknownPolicyError,
 )
 from .model import Address, DataRecord, LocalToken, PolicyRef, PolicyStatus, RoutedToken, TokenKind
-from .storage import EventLog, EventRecord, LogicalClock
+from .storage import EventLog, LogicalClock
 
 
 class MetricKind(str, Enum):
@@ -164,14 +164,6 @@ class GoalDisplaySnapshot:
         }
 
 
-@dataclass
-class MetricChange:
-    goal_id: str
-    metric_id: str
-    status: MetricStatus
-    goal_status: GoalStatus
-
-
 class GoalEngine:
     """Goal Manager + Goal Display: definition, monitoring, decisions."""
 
@@ -181,17 +173,17 @@ class GoalEngine:
         clock: LogicalClock,
         policies: dict[str, PolicyRef],
         phases: tuple[str, ...],
-        on_goal_satisfied: Optional[Callable] = None,
     ):
         self._log = log
         self._clock = clock
         self._policies = policies
         self.phases = tuple(phases)
-        self.on_goal_satisfied = on_goal_satisfied
+        # Called with (goal, event) when an event satisfies a goal's last metric.
+        self.on_goal_satisfied: Optional[Callable] = None
         self._goals: dict[str, Goal] = {}
-        # Each policy's goals in definition order: the index every token's
+        # Each policy's goals by id in definition order: the index every token's
         # stamping and evaluation reads instead of walking all goals.
-        self._by_policy: dict[str, list[Goal]] = {}
+        self._by_policy: dict[str, dict[str, Goal]] = {}
         self._counter = 0
 
     # -- registry views -------------------------------------------------
@@ -200,22 +192,23 @@ class GoalEngine:
     def goal_ids(self):
         return self._goals.keys()
 
-    def goal(self, goal_id: str) -> Goal:
+    def goal(self, goal_id: str, policy_id: str) -> Goal:
+        """The policy's goal of that id; a goal of another policy is unknown to it."""
         try:
-            return self._goals[goal_id]
+            return self._by_policy[policy_id][goal_id]
         except KeyError:
             raise UnknownGoalError(goal_id) from None
 
     def goals_for(self, policy_id: str) -> list[Goal]:
-        return list(self._by_policy.get(policy_id, ()))
+        return list(self._by_policy.get(policy_id, {}).values())
 
     def current_goal(self, policy_id: str) -> Optional[Goal]:
         """Earliest still-unsatisfied goal, else the last defined one."""
-        goals = self._by_policy.get(policy_id, ())
+        goals = self._by_policy.get(policy_id, {}).values()
         for goal in goals:
             if goal.status is not GoalStatus.SATISFIED:
                 return goal
-        return goals[-1] if goals else None
+        return next(reversed(goals), None)
 
     # -- owner operations ------------------------------------------------
 
@@ -241,12 +234,9 @@ class GoalEngine:
         if old is not None and old.policy_id != policy.policy_id:
             raise DuplicateGoalError(f"{goal_id} already belongs to {old.policy_id}")
         goal = Goal(goal_id, policy.policy_id, phase, name, list(metrics))
+        # A redefinition keeps its place in both dicts, as in the fold over the log.
         self._goals[goal_id] = goal
-        goals = self._by_policy.setdefault(policy.policy_id, [])
-        if old is None:
-            goals.append(goal)
-        else:  # redefined in place, as the fold over the log replaces it
-            goals[goals.index(old)] = goal
+        self._by_policy.setdefault(policy.policy_id, {})[goal_id] = goal
         self._log.append("goal-defined", goal.to_record() | {"by": str(by)}, self._clock.tick())
         return goal
 
@@ -254,7 +244,7 @@ class GoalEngine:
         """change: {"op": add-metric|remove-metric|replace-metric|rename, ...}."""
         if by != policy.owner:
             raise NotOwnerError(str(by))
-        goal = self.goal(goal_id)
+        goal = self.goal(goal_id, policy.policy_id)
         op = change["op"]
         if op == "add-metric":
             goal.metrics.append(change["metric"])
@@ -299,15 +289,14 @@ class GoalEngine:
 
     # -- continuous monitoring --------------------------------------------
 
-    def evaluate_event(self, event) -> list[MetricChange]:
+    def evaluate_event(self, event) -> None:
         """Match an appended token or data record against pending metrics.
 
         A token can only satisfy its own policy's goals; a data record has no
         policy and is matched against every goal.
         """
-        changes: list[MetricChange] = []
         if isinstance(event, (LocalToken, RoutedToken)):
-            goals = list(self._by_policy.get(event.policy_id, ()))
+            goals = list(self._by_policy.get(event.policy_id, {}).values())
         else:
             goals = list(self._goals.values())
         for goal in goals:
@@ -341,24 +330,19 @@ class GoalEngine:
                         },
                         self._clock.tick(),
                     )
-                changes.append(MetricChange(goal.goal_id, metric.metric_id, metric.status, goal.status))
                 if goal.status is GoalStatus.SATISFIED and self.on_goal_satisfied is not None:
                     self.on_goal_satisfied(goal, event)
-        return changes
 
     @staticmethod
     def _match(goal: Goal, metric: Metric, event) -> Optional[str]:
+        """`evaluate_event` passes a token only its own policy's goals."""
         if isinstance(event, LocalToken):
-            if event.policy_id != goal.policy_id:
-                return None
             if metric.kind is MetricKind.ARTIFACT_DELIVERY and canonical_artifact(
                 event.task_output
             ) == canonical_artifact(metric.artifact_key):
                 return event.token_id
             return None
         if isinstance(event, RoutedToken):
-            if event.policy_id != goal.policy_id:
-                return None
             if (
                 metric.kind is MetricKind.APPROVAL
                 and event.kind is TokenKind.APPROVAL_RESPONSE

@@ -82,6 +82,11 @@ class Address:
         return cls(network_id, actor_id)
 
 
+def names_actor(address: str, actor: str) -> bool:
+    """Whether `actor`, a full "network/actor" address or a bare actor id, names `address`."""
+    return address == actor or address.rpartition("/")[2] == actor
+
+
 @dataclass
 class PolicyRef:
     policy_id: str
@@ -231,8 +236,6 @@ def validate_local_token(token: LocalToken, defined_goal_ids=None) -> TokenValid
             violations.append(name)
     if token.seq_num < 1:
         violations.append("seq_num")
-    if not token.who_carried_out.network_id or not token.who_carried_out.actor_id:
-        violations.append("who_carried_out")
     if defined_goal_ids is not None and token.goal_id and token.goal_id not in defined_goal_ids:
         violations.append("goal_id")
     return TokenValidation(not violations, violations)
@@ -251,7 +254,7 @@ _ROUTED_TASK_MANDATORY = (
 )
 
 
-def validate_routed_token(token: RoutedToken, defined_goal_ids=None, known_token_ids=None) -> TokenValidation:
+def validate_routed_token(token: RoutedToken, defined_goal_ids=None) -> TokenValidation:
     """Check the routed-token template invariants; never raises."""
     violations = []
     for name in _ROUTED_MANDATORY:
@@ -267,8 +270,6 @@ def validate_routed_token(token: RoutedToken, defined_goal_ids=None, known_token
         violations.append("addresses")
     if token.communication_with != token.destination_address:
         violations.append("communication_with")
-    if known_token_ids is not None and token.token_id in known_token_ids:
-        violations.append("token_id")
     if defined_goal_ids is not None and token.goal_id and token.goal_id not in defined_goal_ids:
         violations.append("goal_id")
     return TokenValidation(not violations, violations)

@@ -114,19 +114,11 @@ class NetworkEngine:
 
     # -- sequencing and policies -------------------------------------------
 
-    def next_seq(self, network_id: str, policy_id: str) -> int:
-        policy = self._policy(policy_id)
-        if policy.status is PolicyStatus.TERMINATED:
-            raise TerminatedPolicyError(policy_id)
-        net = self._network(network_id)
-        net.seq[policy_id] = net.seq.get(policy_id, 0) + 1
-        return net.seq[policy_id]
-
-    def _policy(self, policy_id: str) -> PolicyRef:
-        try:
-            return self._policies[policy_id]
-        except KeyError:
-            raise UnknownPolicyError(policy_id) from None
+    def _next_seq(self, network_id: str, policy_id: str) -> int:
+        """Callers have checked the policy is active and the network registered."""
+        seq = self.networks[network_id].seq
+        seq[policy_id] = seq.get(policy_id, 0) + 1
+        return seq[policy_id]
 
     def notify_new_policy(self, submission: DataRecord, from_addr: Address):
         """Open a policy for a stored submission and notify the owner."""
@@ -187,7 +179,7 @@ class NetworkEngine:
             policy_id=policy_id,
             phase_id=phase_id,
             goal_id=goal_id,
-            seq_num=self.next_seq(actor.network_id, policy_id),
+            seq_num=self._next_seq(actor.network_id, policy_id),
             task=task,
             task_input=task_input,
             nature_of_task_input=nature_of_task_input,
@@ -236,7 +228,7 @@ class NetworkEngine:
             policy_id=policy_id,
             phase_id=phase_id,
             goal_id=goal_id,
-            seq_num=self.next_seq(actor.network_id, policy_id),
+            seq_num=self._next_seq(actor.network_id, policy_id),
             previous_task=previous_task,
             previous_task_output=previous_task_output,
             nature_of_task_output=nature_of_task_output,
@@ -257,38 +249,29 @@ class NetworkEngine:
         if not result.ok:
             raise InvalidTokenError(result.violations)
         self._log.append("routed-token-send", token.to_record(), token.timestamp)
-        if destination.network_id == actor.network_id:
-            receipt = self._deliver_intra(token)
-        else:
-            receipt = self.route_external(token)
-        return token, receipt
+        return token, self._route(token)
 
     # -- delivery -------------------------------------------------------------
 
-    def _deliver_intra(self, token: RoutedToken) -> DeliveryReceipt:
-        dest = token.destination_address
-        net = self.networks.get(dest.network_id)
-        if net is None or dest.actor_id not in net.actors:
-            return self._receipt(token, "dead-letter")
-        return self._deliver(token)
-
     def route_external(self, token: RoutedToken) -> DeliveryReceipt:
         """Connector-to-connector handoff; exactly once per token_id."""
-        src_net = token.source_address.network_id
         dst_net = token.destination_address.network_id
-        if src_net == dst_net:
+        if token.source_address.network_id == dst_net:
             raise IntraNetworkRouteError(dst_net)
-        if token.token_id in self._delivered:
-            return self._receipt(token, "duplicate-ignored")
-        if dst_net not in self.networks or frozenset((src_net, dst_net)) not in self.links:
-            return self._receipt(token, "dead-letter")
-        if token.destination_address.actor_id not in self.networks[dst_net].actors:
-            return self._receipt(token, "dead-letter")
-        return self._deliver(token)
+        return self._route(token)
 
-    def _deliver(self, token: RoutedToken) -> DeliveryReceipt:
+    def _route(self, token: RoutedToken) -> DeliveryReceipt:
+        """The one delivery decision: each token_id is delivered at most once,
+        and only to a registered actor of the sender's network or of a network
+        linked to it."""
         if token.token_id in self._delivered:
             return self._receipt(token, "duplicate-ignored")
+        src_net = token.source_address.network_id
+        dest = token.destination_address
+        if not self.is_registered(dest) or (
+            dest.network_id != src_net and frozenset((src_net, dest.network_id)) not in self.links
+        ):
+            return self._receipt(token, "dead-letter")
         self._delivered.add(token.token_id)
         self._log.append("routed-token-receive", token.to_record(), self._clock.tick())
         receipt = self._receipt(token, "delivered")
@@ -329,7 +312,9 @@ class NetworkEngine:
     # -- helpers ---------------------------------------------------------------
 
     def _active_policy(self, policy_id: str) -> PolicyRef:
-        policy = self._policy(policy_id)
+        policy = self._policies.get(policy_id)
+        if policy is None:
+            raise UnknownPolicyError(policy_id)
         if policy.status is PolicyStatus.TERMINATED:
             raise TerminatedPolicyError(policy_id)
         return policy
@@ -341,7 +326,7 @@ class NetworkEngine:
     def _stamp(self, policy_id: str, goal_id: Optional[str], phase_id: Optional[str]):
         """The controller reads the goal display to stamp goal and phase."""
         if goal_id:
-            goal = self._goals.goal(goal_id)
+            goal = self._goals.goal(goal_id, policy_id)
             return goal_id, phase_id or goal.phase_id
         current = self._goals.current_goal(policy_id)
         if current is not None:

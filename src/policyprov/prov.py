@@ -29,13 +29,14 @@ class ProvDocument:
     entities: dict = field(default_factory=dict)
     activities: dict = field(default_factory=dict)
     agents: dict = field(default_factory=dict)
-    used: list = field(default_factory=list)  # (activity, entity)
-    was_generated_by: list = field(default_factory=list)  # (entity, activity)
-    was_associated_with: list = field(default_factory=list)  # (activity, agent)
-    was_informed_by: list = field(default_factory=list)  # (informed, informant)
-    was_derived_from: list = field(default_factory=list)  # (generated, source)
-    # Lookup sets over the relation lists, rebuilt if a list was changed directly.
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Each relation is an insertion-ordered set of pairs: the keys of a dict,
+    # added with `relation[pair] = None`.
+    used: dict = field(default_factory=dict)  # (activity, entity)
+    was_generated_by: dict = field(default_factory=dict)  # (entity, activity)
+    was_associated_with: dict = field(default_factory=dict)  # (activity, agent)
+    was_informed_by: dict = field(default_factory=dict)  # (informed, informant)
+    was_derived_from: dict = field(default_factory=dict)  # (generated, source)
+    # entity -> its one generator, written together with was_generated_by.
     _generator: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_entity(self, entity_id: str, **attrs) -> str:
@@ -57,25 +58,15 @@ class ProvDocument:
         ).update({k: v for k, v in attrs.items() if v is not None})
         return agent_id
 
-    def relate(self, relation: list, pair: tuple):
-        seen = self._pairs.get(id(relation))
-        if seen is None or len(seen) != len(relation):
-            seen = self._pairs[id(relation)] = set(relation)
-        if pair not in seen:
-            seen.add(pair)
-            relation.append(pair)
-
     def generated_by(self, entity_id: str, activity_id: str) -> bool:
         """At most one generator per entity; the first one wins."""
-        if self.generator_of(entity_id) is not None:
+        if entity_id in self._generator:
             return False
-        self.was_generated_by.append((entity_id, activity_id))
         self._generator[entity_id] = activity_id
+        self.was_generated_by[entity_id, activity_id] = None
         return True
 
     def generator_of(self, entity_id: str) -> Optional[str]:
-        if len(self._generator) != len(self.was_generated_by):
-            self._generator = dict(reversed(self.was_generated_by))
         return self._generator.get(entity_id)
 
 
@@ -98,13 +89,13 @@ def _add_local(doc: ProvDocument, token: LocalToken, view: PolicyView):
     agent_id = doc.add_agent(
         token.who_carried_out, nature_of_stakeholders=token.nature_of_stakeholders.value
     )
-    doc.relate(doc.was_associated_with, (act_id, agent_id))
+    doc.was_associated_with[act_id, agent_id] = None
     in_id = doc.add_entity(
         entity_id_for(token.policy_id, token.task_input),
         label=token.task_input,
         nature=token.nature_of_task_input.value,
     )
-    doc.relate(doc.used, (act_id, in_id))
+    doc.used[act_id, in_id] = None
     if doc.generator_of(in_id) is None:
         doc.entities[in_id]["external_origin"] = True
     out_id = doc.add_entity(
@@ -118,10 +109,10 @@ def _add_local(doc: ProvDocument, token: LocalToken, view: PolicyView):
         # An earlier external-origin mark stays: it covers uses that predate
         # this generation.
         doc.entities[out_id]["generated_at"] = token.timestamp
-    doc.relate(doc.was_derived_from, (out_id, in_id))
+    doc.was_derived_from[out_id, in_id] = None
 
 
-def _add_routed(doc: ProvDocument, token: RoutedToken, receive_time, view: PolicyView):
+def _add_routed(doc: ProvDocument, token: RoutedToken, view: PolicyView):
     tok_id = doc.add_entity(
         f"tok:{token.token_id}",
         label=token.previous_task_output or token.task_description,
@@ -139,22 +130,23 @@ def _add_routed(doc: ProvDocument, token: RoutedToken, receive_time, view: Polic
     else:
         doc.generated_by(tok_id, activity_id_for(prev))
         doc.entities[tok_id]["generated_at"] = token.timestamp
+    receive_time = view.receives.get(token.token_id)
     if receive_time is None:
         return
     nxt = view.next(token.destination_address, receive_time)
     if nxt is not None:
-        doc.relate(doc.used, (activity_id_for(nxt), tok_id))
+        doc.used[activity_id_for(nxt), tok_id] = None
         if prev is not None:
-            doc.relate(doc.was_informed_by, (activity_id_for(nxt), activity_id_for(prev)))
+            doc.was_informed_by[activity_id_for(nxt), activity_id_for(prev)] = None
 
 
-def token_to_prov_fragment(token, index: Optional[PolicyView] = None, receive_time=None) -> ProvDocument:
-    """Map one token (or a send/receive pair) to a standalone fragment."""
+def token_to_prov_fragment(token) -> ProvDocument:
+    """Map one token to a standalone fragment."""
     doc = ProvDocument()
     if isinstance(token, LocalToken):
-        _add_local(doc, token, index or PolicyView(token.policy_id, [token], [], {}))
+        _add_local(doc, token, PolicyView(token.policy_id, [token], [], {}))
     elif isinstance(token, RoutedToken):
-        _add_routed(doc, token, receive_time, index or PolicyView(token.policy_id, [], [token], {}))
+        _add_routed(doc, token, PolicyView(token.policy_id, [], [token], {}))
     else:
         raise TypeError(f"cannot map {type(token).__name__} to provenance")
     return doc
@@ -168,33 +160,27 @@ def build_prov(log: EventLog, policy_id: str) -> ProvDocument:
         if isinstance(token, LocalToken):
             _add_local(doc, token, view)
         else:
-            _add_routed(doc, token, view.receives.get(token.token_id), view)
+            _add_routed(doc, token, view)
     return doc
 
 
-_PROV_KEYS = (
-    "entity", "activity", "agent", "used",
-    "wasGeneratedBy", "wasAssociatedWith", "wasInformedBy", "wasDerivedFrom",
+# (relation attribute, PROV-JSON member, id prefix, role keys of the pair)
+_RELATIONS = (
+    ("used", "used", "u", ("prov:activity", "prov:entity")),
+    ("was_generated_by", "wasGeneratedBy", "gen", ("prov:entity", "prov:activity")),
+    ("was_associated_with", "wasAssociatedWith", "assoc", ("prov:activity", "prov:agent")),
+    ("was_informed_by", "wasInformedBy", "inf", ("prov:informed", "prov:informant")),
+    ("was_derived_from", "wasDerivedFrom", "der", ("prov:generatedEntity", "prov:usedEntity")),
 )
 
 
 def export_prov_json(doc: ProvDocument) -> bytes:
-    """Deterministic PROV-JSON: one object with exactly the eight members."""
-    out: dict = {key: {} for key in _PROV_KEYS}
-    out["entity"] = {k: dict(sorted(v.items())) for k, v in sorted(doc.entities.items())}
-    out["activity"] = {k: dict(sorted(v.items())) for k, v in sorted(doc.activities.items())}
-    out["agent"] = {k: dict(sorted(v.items())) for k, v in sorted(doc.agents.items())}
-    for i, (act, ent) in enumerate(sorted(doc.used), 1):
-        out["used"][f"u{i}"] = {"prov:activity": act, "prov:entity": ent}
-    for i, (ent, act) in enumerate(sorted(doc.was_generated_by), 1):
-        out["wasGeneratedBy"][f"gen{i}"] = {"prov:entity": ent, "prov:activity": act}
-    for i, (act, agent) in enumerate(sorted(doc.was_associated_with), 1):
-        out["wasAssociatedWith"][f"assoc{i}"] = {"prov:activity": act, "prov:agent": agent}
-    for i, (informed, informant) in enumerate(sorted(doc.was_informed_by), 1):
-        out["wasInformedBy"][f"inf{i}"] = {"prov:informed": informed, "prov:informant": informant}
-    for i, (generated, source) in enumerate(sorted(doc.was_derived_from), 1):
-        out["wasDerivedFrom"][f"der{i}"] = {
-            "prov:generatedEntity": generated,
-            "prov:usedEntity": source,
-        }
+    """Deterministic PROV-JSON: one object with exactly the eight members.
+
+    `sort_keys` orders every object; relation ids number the sorted pairs.
+    """
+    out = {"entity": doc.entities, "activity": doc.activities, "agent": doc.agents}
+    for attr, key, prefix, roles in _RELATIONS:
+        pairs = sorted(getattr(doc, attr))
+        out[key] = {f"{prefix}{i}": dict(zip(roles, pair)) for i, pair in enumerate(pairs, 1)}
     return json.dumps(out, sort_keys=True, indent=2).encode("utf-8")

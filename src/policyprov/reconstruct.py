@@ -20,7 +20,7 @@ from itertools import groupby
 from typing import Optional
 
 from .errors import UnknownPhaseError
-from .model import CommunicationPattern, RoutedToken, TokenKind
+from .model import CommunicationPattern, RoutedToken, TokenKind, names_actor
 from .storage import EventLog
 from .view import PolicyView, activity_id_for, view_of, views_of
 
@@ -48,17 +48,17 @@ class ProcessEdge:
     token_id: str
     src_actor: str
     dst_actor: str
-    edge_type: str  # handoff | approval | notification
+    kind: TokenKind
     pattern: CommunicationPattern
     time: int
     receive_time: int
     src_node: Optional[str] = None
     dst_node: Optional[str] = None
-    kind: TokenKind = TokenKind.TASK_HANDOFF
 
     @property
-    def endpoints(self) -> tuple[str, str]:
-        return (self.src_actor, self.dst_actor)
+    def edge_type(self) -> str:
+        """handoff | approval | notification"""
+        return EDGE_TYPES[self.kind]
 
 
 @dataclass
@@ -155,9 +155,9 @@ def _graph(view: PolicyView, phase_order=None, include_notifications=False, keep
     patterns = _classify_sends(view, {str(token.source_address) for token, _, _ in found})
     for token, src_node, dst_node in found:
         graph.edges.append(ProcessEdge(
-            token.token_id, str(token.source_address), str(token.destination_address), EDGE_TYPES[token.kind],
+            token.token_id, str(token.source_address), str(token.destination_address), token.kind,
             patterns.get(token.token_id, token.communication_pattern), token.timestamp,
-            view.receives[token.token_id], src_node, dst_node, token.kind,
+            view.receives[token.token_id], src_node, dst_node,
         ))
     if phase_order is not None:
         graph.loop_markers = detect_loops(graph, phase_order)
@@ -209,7 +209,7 @@ def query(
         return (
             (goal_id is None or node.goal_id == goal_id)
             and (phase_id is None or node.phase_id == phase_id)
-            and (actor is None or node.actor == actor or node.actor.rpartition("/")[2] == actor)
+            and (actor is None or names_actor(node.actor, actor))
         )
 
     nodes: list[ProcessNode] = []

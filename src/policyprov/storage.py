@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import UnknownDataIdError
-from .model import Address, DataRecord, content_hash
+from .errors import CorruptLogError, UnknownDataIdError
+from .model import Address, DataRecord, content_hash, names_actor
 
 EVENT_KINDS = (
     "local-token",
@@ -77,9 +77,7 @@ class EventRecord:
 def _actor_matches(body: dict, actor: str) -> bool:
     for key in _ADDRESS_FIELDS:
         value = body.get(key)
-        if not isinstance(value, str):
-            continue
-        if value == actor or value.rpartition("/")[2] == actor:
+        if isinstance(value, str) and names_actor(value, actor):
             return True
     return False
 
@@ -164,16 +162,21 @@ class EventLog:
 
     @classmethod
     def load(cls, path) -> "EventLog":
+        """Read a JSON Lines log; a line that is not a record raises `CorruptLogError`."""
         log = cls()
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
+        with Path(path).open("rb") as fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                raw = json.loads(line)
-                log._records.append(
-                    EventRecord(raw["offset"], raw["event_kind"], raw["logical_time"], raw["body"])
-                )
+                try:
+                    raw = json.loads(line.decode("utf-8"))
+                    record = EventRecord(raw["offset"], raw["event_kind"], raw["logical_time"], raw["body"])
+                except (ValueError, KeyError, TypeError):  # not UTF-8 JSON, a key missing, not an object
+                    raise CorruptLogError(
+                        f"line {number}: not a JSON object with offset, event_kind, logical_time and body"
+                    ) from None
+                log._records.append(record)
         return log
 
 

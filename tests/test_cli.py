@@ -103,6 +103,16 @@ class TestQuery:
         assert hashlib.sha256(log_path.read_bytes()).hexdigest() == before
 
 
+@pytest.mark.parametrize("command", [["query"], ["export", "--prov", "-o", "x.json"]])
+@pytest.mark.parametrize("bad", [b'{"offset":0}', b"[1,2]", b'{"offset":', b"\xff\xfe"])
+def test_corrupt_log_exits_2(tmp_path, monkeypatch, capsys, command, bad):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "events.jsonl").write_bytes(bad + b"\n")
+    assert main([command[0], "events.jsonl", *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith("cannot read log: line 1: ")
+    assert not (tmp_path / "x.json").exists()
+
+
 class TestExport:
     def test_prov_export_has_eight_members(self, run_dir, tmp_path):
         out = tmp_path / "doc.provjson"

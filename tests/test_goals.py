@@ -195,6 +195,18 @@ class TestMetricMatching:
             "g-1", "g-2",
         ]
 
+    def test_token_cannot_name_a_goal_of_another_policy(self):
+        system = make_system()
+        first = open_policy(system)
+        second = open_policy(system, payload=b"second idea")
+        define_report_goal(system, first, "g-x")
+        logged = len(system.log)
+        with pytest.raises(UnknownGoalError):
+            system.create_local_token(SNT, second.policy_id, task="write", task_input="notes",
+                                      task_output="report", task_description="write", goal_id="g-x")
+        assert len(system.log) == logged
+        assert write(system, first, "draft").goal_id == "g-x"
+
     def test_undelivered_send_does_not_satisfy(self):
         system = make_system()
         system.register_network("isolated")
@@ -257,6 +269,17 @@ class TestModifyGoal:
         policy = open_policy(system)
         with pytest.raises(UnknownGoalError):
             system.modify_goal(policy.policy_id, "nope", {"op": "rename", "name": "x"}, by=OWNER)
+
+    def test_goal_of_another_policy_is_unknown(self):
+        system = make_system()
+        first = open_policy(system)
+        second = open_policy(system, payload=b"second idea")
+        define_report_goal(system, first, "g-x")
+        logged = len(system.log)
+        with pytest.raises(UnknownGoalError):
+            system.modify_goal(second.policy_id, "g-x", {"op": "rename", "name": "taken"}, by=OWNER)
+        assert system.goals.goal("g-x", first.policy_id).name == "report"
+        assert len(system.log) == logged
 
     def test_modification_event_carries_post_change_state(self):
         system = make_system()
@@ -329,7 +352,7 @@ class TestSnapshots:
                                   task_output="problem analysis document",
                                   task_description="analysis")
         folded = {g.goal_id: g for g in fold_goal_state(system.log, policy.policy_id)}
-        live = system.goals.goal(goal.goal_id)
+        live = system.goals.goal(goal.goal_id, policy.policy_id)
         assert folded[goal.goal_id].status is live.status
         assert [m.status for m in folded[goal.goal_id].metrics] == [
             m.status for m in live.metrics

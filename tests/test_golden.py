@@ -4,7 +4,8 @@
 bundled fixtures, on one hand-built log that interleaves two policies, and
 over the 1,000 seeded random runs, plus each fixture run's log hash and goal
 snapshots and one digest over the random runs' log hashes and snapshots.
-Any change to an output's bytes or order fails here. Regenerate the file only for an intended output change:
+Any change to an output's bytes or order fails here. Regenerate the file only
+for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """

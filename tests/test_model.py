@@ -195,7 +195,3 @@ class TestRoutedValidation:
         result = validate_routed_token(token)
         assert "previous_task" in result.violations
         assert "previous_task_output" in result.violations
-
-    def test_duplicate_token_id_rejected(self):
-        result = validate_routed_token(make_routed(), known_token_ids={"t-2"})
-        assert "token_id" in result.violations

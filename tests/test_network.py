@@ -237,6 +237,42 @@ class TestRouting:
             assert receipt_ids.count(send.body["token_id"]) == 1
 
 
+FAR = Address("far-away", "someone")  # registered, in a network not linked to any other
+
+
+@pytest.mark.parametrize("destination, replay, outcome", [
+    (BCU, False, "delivered"),
+    (Address("local-council", "nobody"), False, "dead-letter"),
+    (COMMUNITY, False, "delivered"),
+    (FAR, False, "dead-letter"),
+    (Address("ghost", "someone"), False, "dead-letter"),
+    (Address("citizens", "nobody"), False, "dead-letter"),
+    (COMMUNITY, True, "duplicate-ignored"),
+    (Address("citizens", "nobody"), True, "dead-letter"),
+], ids=[
+    "same-network", "same-network-unknown-actor", "linked-network", "unlinked-network",
+    "unregistered-network", "linked-network-unknown-actor", "replay", "replay-of-dead-letter",
+])
+def test_delivery_outcomes(destination, replay, outcome):
+    system = make_system()
+    system.register_network(FAR.network_id)
+    system.register_actor(FAR.network_id, FAR.actor_id)
+    policy = open_policy(system)
+    define_default_goal(system, policy)
+    token, receipt = system.send_token(SNT, policy.policy_id, destination=destination,
+                                       previous_task="t", previous_task_output="o",
+                                       task_description="d")
+    if replay:
+        receipt = system.network.route_external(token)
+    assert receipt.outcome == outcome
+    receipts = [r.body for r in system.log.scan(event_kind="receipt") if r.body["token_id"] == token.token_id]
+    assert len(receipts) == 1 + replay
+    assert receipts[-1]["outcome"] == outcome
+    receives = [r for r in system.log.scan(event_kind="routed-token-receive")
+                if r.body["token_id"] == token.token_id]
+    assert len(receives) == (receipts[0]["outcome"] == "delivered")
+
+
 class TestGoalSatisfactionNotice:
     def test_owner_is_notified_when_goal_closes(self):
         system = make_system()

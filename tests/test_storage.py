@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from policyprov import Address, DataStore, EventLog, LogicalClock, fixture_path, load_scenario, run
-from policyprov.errors import UnknownDataIdError
+from policyprov.errors import CorruptLogError, UnknownDataIdError
 from policyprov.storage import EVENT_KINDS
 
 from conftest import oracle_scan
@@ -57,6 +57,18 @@ class TestEventLog:
         loaded = EventLog.load(path)
         assert [rec.to_json() for rec in loaded] == [rec.to_json() for rec in log]
         assert loaded.content_hash() == log.content_hash()
+
+    @pytest.mark.parametrize("bad", [
+        b'{"offset":0}', b'{"offset":1,"event_kind":"decision","logical_time":2}',
+        b"[1,2]", b'{"offset":', b"\xff\xfe",
+    ])
+    def test_malformed_line_raises_naming_the_line(self, tmp_path, bad):
+        path = tmp_path / "events.jsonl"
+        log = EventLog()
+        log.append("decision", {"policy_id": "pol-1"}, 1)
+        path.write_bytes(log[0].to_json().encode("utf-8") + b"\n\n" + bad + b"\n")
+        with pytest.raises(CorruptLogError, match="^line 3: "):
+            EventLog.load(path)
 
     def test_to_json_is_canonical(self):
         log = EventLog()

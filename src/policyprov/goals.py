@@ -184,6 +184,11 @@ class GoalEngine:
         # Each policy's goals by id in definition order: the index every token's
         # stamping and evaluation reads instead of walking all goals.
         self._by_policy: dict[str, dict[str, Goal]] = {}
+        # Every canonical artifact key any version of a goal has named, to
+        # those goals' ids: a superset that `_match` re-checks, never pruned.
+        self._by_artifact: dict[str, set[str]] = {}
+        # Each goal id's place in `_goals`, which a redefinition keeps.
+        self._position: dict[str, int] = {}
         self._counter = 0
 
     # -- registry views -------------------------------------------------
@@ -237,6 +242,8 @@ class GoalEngine:
         # A redefinition keeps its place in both dicts, as in the fold over the log.
         self._goals[goal_id] = goal
         self._by_policy.setdefault(policy.policy_id, {})[goal_id] = goal
+        self._position.setdefault(goal_id, len(self._position))
+        self._index_artifacts(goal_id, goal.metrics)
         self._log.append("goal-defined", goal.to_record() | {"by": str(by)}, self._clock.tick())
         return goal
 
@@ -246,6 +253,8 @@ class GoalEngine:
             raise NotOwnerError(str(by))
         goal = self.goal(goal_id, policy.policy_id)
         op = change["op"]
+        if op in ("add-metric", "replace-metric"):
+            self._index_artifacts(goal_id, [change["metric"]])
         if op == "add-metric":
             goal.metrics.append(change["metric"])
         elif op == "remove-metric":
@@ -271,6 +280,11 @@ class GoalEngine:
         )
         return goal
 
+    def _index_artifacts(self, goal_id: str, metrics: list[Metric]) -> None:
+        for metric in metrics:
+            if metric.kind is MetricKind.ARTIFACT_DELIVERY:
+                self._by_artifact.setdefault(canonical_artifact(metric.artifact_key), set()).add(goal_id)
+
     def decide_continuation(self, policy: PolicyRef, decision: str, by: Address) -> PolicyRef:
         if by != policy.owner:
             raise NotOwnerError(str(by))
@@ -293,12 +307,14 @@ class GoalEngine:
         """Match an appended token or data record against pending metrics.
 
         A token can only satisfy its own policy's goals; a data record has no
-        policy and is matched against every goal.
+        policy and is matched against every goal that has named its artifact,
+        in definition order.
         """
         if isinstance(event, (LocalToken, RoutedToken)):
             goals = list(self._by_policy.get(event.policy_id, {}).values())
         else:
-            goals = list(self._goals.values())
+            goal_ids = self._by_artifact.get(canonical_artifact(event.media_hint), ())
+            goals = [self._goals[goal_id] for goal_id in sorted(goal_ids, key=self._position.__getitem__)]
         for goal in goals:
             for metric in goal.metrics:
                 if metric.status is not MetricStatus.PENDING:

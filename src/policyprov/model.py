@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
 from typing import Optional
 
 DEFAULT_PHASES = ("agenda-setting", "analysis")
@@ -198,13 +199,18 @@ def content_hash(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _flatten(obj) -> dict:
     rec = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
         if isinstance(value, Enum):
             value = value.value
-        rec[f.name] = value
+        rec[name] = value
     return rec
 
 

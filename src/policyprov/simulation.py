@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Union
 
@@ -29,10 +30,9 @@ class Rule:
     rule_id: int = 0
 
     def matches(self, token: RoutedToken) -> bool:
+        """Whether the trigger's keys hold; the runner only offers the actor's own deliveries."""
         cond = self.trigger.get("on_receive")
         if cond is None:
-            return False
-        if token.destination_address != self.actor:
             return False
         if "kind" in cond and token.kind.value != cond["kind"]:
             return False
@@ -168,6 +168,33 @@ def _metrics_from(spec: dict) -> list[Metric]:
     return metrics
 
 
+@dataclass
+class _ReceiveIndex:
+    """One actor's receive rules, those with a needle (`task_description_contains`) by needle."""
+
+    plain: list[Rule] = field(default_factory=list)
+    by_needle: dict[str, list[Rule]] = field(default_factory=dict)
+    lengths: set[int] = field(default_factory=set)
+
+    def add(self, rule: Rule):
+        needle = rule.trigger["on_receive"].get("task_description_contains")
+        if needle is None:
+            self.plain.append(rule)
+        else:
+            self.by_needle.setdefault(needle, []).append(rule)
+            self.lengths.add(len(needle))
+
+    def candidates(self, text: str) -> list[Rule]:
+        """The rules without a needle and those whose needle occurs in `text`, in rule_id order."""
+        if not self.by_needle:
+            return self.plain
+        # range(len(text) - n + 1) holds one start for n == 0, so "" occurs in every text.
+        found = {text[i : i + n] for n in self.lengths for i in range(len(text) - n + 1)}
+        rules = self.plain + [rule for needle in found & self.by_needle.keys() for rule in self.by_needle[needle]]
+        rules.sort(key=attrgetter("rule_id"))
+        return rules
+
+
 class _Runner:
     def __init__(self, scenario: Scenario, system: PolicySystem, step_budget: int):
         self.scenario = scenario
@@ -179,16 +206,19 @@ class _Runner:
             (r for r in scenario.rules if "at_time" in r.trigger),
             key=lambda r: (r.trigger["at_time"], r.rule_id),
         )
-        # Receive rules by actor, each list in rule_id order: a delivery is
-        # only ever matched against its destination's rules.
-        self.receive_rules: dict[Address, list[Rule]] = {}
+        # A delivery only ever tries the rules of its destination that have no
+        # needle or whose needle occurs in its task description.
+        self.receive_rules: dict[Address, _ReceiveIndex] = {}
         for rule in scenario.rules:
             if "on_receive" in rule.trigger:
-                self.receive_rules.setdefault(rule.actor, []).append(rule)
+                self.receive_rules.setdefault(rule.actor, _ReceiveIndex()).add(rule)
         system.network.on_delivered = self._on_delivered
 
     def _on_delivered(self, token: RoutedToken):
-        for rule in self.receive_rules.get(token.destination_address, ()):
+        index = self.receive_rules.get(token.destination_address)
+        if index is None:
+            return
+        for rule in index.candidates(token.task_description):
             if rule.rule_id in self.fired and rule.once:
                 continue
             if rule.matches(token):

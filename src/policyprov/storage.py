@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import CorruptLogError, UnknownDataIdError
 from .model import Address, DataRecord, content_hash, names_actor
@@ -176,6 +176,8 @@ class EventLog:
                     raise CorruptLogError(
                         f"line {number}: not a JSON object with offset, event_kind, logical_time and body"
                     ) from None
+                if not isinstance(record.body, dict):
+                    raise CorruptLogError(f"line {number}: body is not a JSON object")
                 log._records.append(record)
         return log
 
@@ -188,6 +190,8 @@ class DataStore:
         self._clock = clock
         self._root = Path(root) if root else None
         self._records: dict[str, DataRecord] = {}
+        # Called with each record when it is first stored.
+        self.on_stored: Optional[Callable[[DataRecord], None]] = None
         if self._root is not None:
             self._root.mkdir(parents=True, exist_ok=True)
 
@@ -200,6 +204,8 @@ class DataStore:
         if self._root is not None:
             (self._root / data_id).write_bytes(payload)
         self._log.append("data-stored", record.to_record(), record.timestamp)
+        if self.on_stored is not None:
+            self.on_stored(record)
         return record
 
     def get(self, data_id: str) -> DataRecord:

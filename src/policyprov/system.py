@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Optional
 
 from .goals import GoalEngine
-from .model import Address, DEFAULT_PHASES, PolicyRef, content_hash
+from .model import Address, DEFAULT_PHASES, PolicyRef
 from .network import NetworkEngine
 from .storage import DataStore, EventLog, LogicalClock
 
@@ -27,6 +27,7 @@ class PolicySystem:
         self.store = DataStore(self.log, self.clock, data_root)
         self.policies: dict[str, PolicyRef] = {}
         self.goals = GoalEngine(self.log, self.clock, self.policies, tuple(phases))
+        self.store.on_stored = self.goals.evaluate_event
         self.network = NetworkEngine(
             self.log, self.clock, self.store, self.policies, self.goals, seed=seed, owner=owner
         )
@@ -42,11 +43,8 @@ class PolicySystem:
         return self.network.link_networks(a, b)
 
     def put_data(self, payload: bytes, by: Address, media_hint: str = ""):
-        new = content_hash(payload) not in self.store
-        record = self.store.put(payload, by, media_hint)
-        if new:
-            self.goals.evaluate_event(record)
-        return record
+        """Store the payload; new data is matched against the goals (`on_stored`)."""
+        return self.store.put(payload, by, media_hint)
 
     def notify_new_policy(self, submission, from_addr):
         return self.network.notify_new_policy(submission, from_addr)

@@ -104,7 +104,8 @@ class TestQuery:
 
 
 @pytest.mark.parametrize("command", [["query"], ["export", "--prov", "-o", "x.json"]])
-@pytest.mark.parametrize("bad", [b'{"offset":0}', b"[1,2]", b'{"offset":', b"\xff\xfe"])
+@pytest.mark.parametrize("bad", [b'{"offset":0}', b"[1,2]", b'{"offset":', b"\xff\xfe",
+                                 b'{"offset":0,"event_kind":"decision","logical_time":1,"body":[]}'])
 def test_corrupt_log_exits_2(tmp_path, monkeypatch, capsys, command, bad):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "events.jsonl").write_bytes(bad + b"\n")

@@ -195,6 +195,43 @@ class TestMetricMatching:
             "g-1", "g-2",
         ]
 
+    def test_stored_data_satisfies_a_metric_only_through_its_current_key(self):
+        system = make_system()
+        first = open_policy(system)
+        second = open_policy(system, payload=b"second idea")
+        define_report_goal(system, first, "g-1", artifact="draft")
+        define_report_goal(system, second, "g-2", artifact="draft")
+
+        def modify(policy, goal_id, op, **change):
+            system.modify_goal(policy.policy_id, goal_id, {"op": op, **change}, by=OWNER)
+
+        def artifact(metric_id, key):
+            return Metric(metric_id, MetricKind.ARTIFACT_DELIVERY, artifact_key=key)
+
+        modify(first, "g-1", "replace-metric", metric_id="g-1-m1", metric=artifact("g-1-m1", "final"))
+        # A second metric on a key is removed or replaced; the first still names the key.
+        modify(first, "g-1", "add-metric", metric=artifact("g-1-m2", " FINAL "))
+        modify(first, "g-1", "remove-metric", metric_id="g-1-m2")
+        modify(second, "g-2", "add-metric", metric=artifact("g-2-m2", "Annex"))
+        modify(second, "g-2", "add-metric", metric=artifact("g-2-m3", "annex"))
+        modify(second, "g-2", "replace-metric", metric_id="g-2-m3", metric=artifact("g-2-m3", "appendix"))
+        for payload, hint, expected in [
+            (b"1", "draft", [("g-2", "g-2-m1")]),
+            (b"2", "annex", [("g-2", "g-2-m2")]),
+            (b"3", "final", [("g-1", "g-1-m1")]),
+            (b"4", "appendix", [("g-2", "g-2-m3")]),
+            (b"5", "draft", []),
+        ]:
+            logged = len(system.log)
+            system.put_data(payload, SNT, hint)
+            assert [(rec.body["goal_id"], rec.body["metric_id"]) for rec in system.log
+                    if rec.offset >= logged and rec.event_kind == "metric-satisfied"] == expected, hint
+            for policy in (first, second):
+                assert [g.to_record() for g in system.goals.goals_for(policy.policy_id)] == [
+                    g.to_record() for g in fold_goal_state(system.log, policy.policy_id)
+                ]
+        assert all(g.status is GoalStatus.SATISFIED for g in fold_goal_state(system.log))
+
     def test_token_cannot_name_a_goal_of_another_policy(self):
         system = make_system()
         first = open_policy(system)

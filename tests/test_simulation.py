@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from policyprov import Address, Metric, MetricKind, TokenKind, fixture_path, load_scenario, run, trace_report
 from policyprov.errors import DuplicateGoalError, RunawayScenarioError, ScenarioError
@@ -180,6 +182,43 @@ class TestRunning:
             run(load_scenario(random_scenario_dict(seed)))
 
 
+_ACTORS = ["net/owner", "net/a", "net/b"]
+# Few values per key, so that a delivery often matches several rules; a
+# two-letter alphabet makes needles overlap and occur twice in one description.
+_KINDS = ["task-handoff", "approval-request"]
+_CONDITIONS = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(_KINDS),
+    "from": st.sampled_from(_ACTORS),
+    "required_action": st.just("sign"),
+    "task_description_contains": st.text(alphabet="ab", max_size=4),
+})
+_RULES = st.lists(st.tuples(st.sampled_from(_ACTORS), _CONDITIONS, st.booleans()), min_size=2, max_size=16)
+_DELIVERIES = st.lists(
+    st.tuples(st.permutations(_ACTORS), st.sampled_from(_KINDS), st.sampled_from([None, "sign"]),
+              st.text(alphabet="ab", min_size=1, max_size=6)),
+    min_size=1, max_size=12,
+)
+
+
+def oracle_pending(scenario, tokens) -> list:
+    """(rule_id, token) queued per delivery: every receive rule of the scenario, tried in rule_id order."""
+    fired, pending = set(), []
+    for token in tokens:
+        for rule in sorted(scenario.rules, key=lambda r: r.rule_id):
+            cond = rule.trigger["on_receive"]
+            if rule.once and rule.rule_id in fired:
+                continue
+            if (str(rule.actor) == str(token.destination_address)
+                    and cond.get("kind", token.kind.value) == token.kind.value
+                    and cond.get("from", str(token.source_address)) == str(token.source_address)
+                    and cond.get("required_action", token.required_action) == token.required_action
+                    and cond.get("task_description_contains", "") in token.task_description):
+                if rule.once:
+                    fired.add(rule.rule_id)
+                pending.append((rule.rule_id, token))
+    return pending
+
+
 class TestScheduler:
     def test_delivery_only_tries_its_destination_rules_in_rule_id_order(self, monkeypatch):
         def on(cond):
@@ -209,6 +248,36 @@ class TestScheduler:
                                      task_description="write it up")
         assert tried == [0, 1, 3]
         assert [(rule.rule_id, queued) for rule, queued in runner.pending] == [(0, token), (3, token)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_RULES, _DELIVERIES)
+    # A needle-less rule between matching needle rules, the empty needle, and
+    # overlapping needles that occur twice in the description.
+    @example(
+        [("net/a", {"task_description_contains": "ab"}, True), ("net/a", {}, False),
+         ("net/a", {"task_description_contains": ""}, False), ("net/a", {"task_description_contains": "b"}, True)],
+        [(["net/owner", "net/a", "net/b"], "task-handoff", None, "abab")] * 2,
+    )
+    def test_queued_rules_equal_a_linear_scan_over_all_rules(self, rules, deliveries):
+        scenario = load_scenario({
+            "networks": [{"id": "net", "actors": [a.partition("/")[2] for a in _ACTORS]}],
+            "owner": "net/owner",
+            "behaviors": [{"actor": actor, "rules": [{"trigger": {"on_receive": cond}, "actions": [], "once": once}]}
+                          for actor, cond, once in rules],
+        })
+        system = build_system(scenario)
+        owner = Address("net", "owner")
+        policy, _, _ = system.notify_new_policy(system.put_data(b"idea", owner, "idea"), owner)
+        system.define_goal(policy.policy_id, "agenda-setting", "never",
+                           [Metric("m1", MetricKind.ARTIFACT_DELIVERY, artifact_key="never")], by=owner)
+        runner = _Runner(scenario, system, step_budget=10)
+        tokens = []
+        for (src, dst, *_), kind, required_action, description in deliveries:
+            token, _ = system.send_token(Address.parse(src), policy.policy_id, destination=Address.parse(dst),
+                                         kind=TokenKind(kind), previous_task="t", previous_task_output="o",
+                                         task_description=description, required_action=required_action)
+            tokens.append(token)
+        assert [(rule.rule_id, token) for rule, token in runner.pending] == oracle_pending(scenario, tokens)
 
 
 class TestTraceOf:

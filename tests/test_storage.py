@@ -60,7 +60,7 @@ class TestEventLog:
 
     @pytest.mark.parametrize("bad", [
         b'{"offset":0}', b'{"offset":1,"event_kind":"decision","logical_time":2}',
-        b"[1,2]", b'{"offset":', b"\xff\xfe",
+        b"[1,2]", b'{"offset":', b"\xff\xfe", b'{"offset":0,"event_kind":"decision","logical_time":1,"body":[]}',
     ])
     def test_malformed_line_raises_naming_the_line(self, tmp_path, bad):
         path = tmp_path / "events.jsonl"

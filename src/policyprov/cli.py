@@ -104,6 +104,9 @@ def cmd_export(args) -> int:
     except UnknownPolicyError:
         print(f"unknown policy: {policy_id}", file=sys.stderr)
         return 2
+    except CorruptLogError as exc:  # a token record that does not decode
+        print(f"cannot read log: {exc}", file=sys.stderr)
+        return 2
     try:
         Path(args.out).write_bytes(payload)
     except OSError as exc:

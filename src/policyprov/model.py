@@ -7,9 +7,8 @@ snake_case keys; that flat form is the event-log record format.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 from typing import Optional
 
 DEFAULT_PHASES = ("agenda-setting", "analysis")
@@ -199,18 +198,13 @@ def content_hash(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-@cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
 def _flatten(obj) -> dict:
-    rec = {}
-    for name in _field_names(type(obj)):
-        value = getattr(obj, name)
+    """The dataclass's fields in declaration order (its `__init__` sets them
+    in that order), each enum member replaced by its value."""
+    rec = vars(obj).copy()
+    for name, value in rec.items():
         if isinstance(value, Enum):
-            value = value.value
-        rec[name] = value
+            rec[name] = value.value
     return rec
 
 

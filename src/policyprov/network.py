@@ -248,8 +248,9 @@ class NetworkEngine:
         result = validate_routed_token(token, defined_goal_ids=self._goals.goal_ids)
         if not result.ok:
             raise InvalidTokenError(result.violations)
-        self._log.append("routed-token-send", token.to_record(), token.timestamp)
-        return token, self._route(token)
+        record = token.to_record()
+        self._log.append("routed-token-send", record, token.timestamp)
+        return token, self._route(token, record)
 
     # -- delivery -------------------------------------------------------------
 
@@ -258,12 +259,13 @@ class NetworkEngine:
         dst_net = token.destination_address.network_id
         if token.source_address.network_id == dst_net:
             raise IntraNetworkRouteError(dst_net)
-        return self._route(token)
+        return self._route(token, token.to_record())
 
-    def _route(self, token: RoutedToken) -> DeliveryReceipt:
+    def _route(self, token: RoutedToken, record: dict) -> DeliveryReceipt:
         """The one delivery decision: each token_id is delivered at most once,
         and only to a registered actor of the sender's network or of a network
-        linked to it."""
+        linked to it. `record` is the token's flat record; a delivery logs a
+        copy of it."""
         if token.token_id in self._delivered:
             return self._receipt(token, "duplicate-ignored")
         src_net = token.source_address.network_id
@@ -273,7 +275,7 @@ class NetworkEngine:
         ):
             return self._receipt(token, "dead-letter")
         self._delivered.add(token.token_id)
-        self._log.append("routed-token-receive", token.to_record(), self._clock.tick())
+        self._log.append("routed-token-receive", dict(record), self._clock.tick())
         receipt = self._receipt(token, "delivered")
         self._goals.evaluate_event(token)
         if self.on_delivered is not None:

@@ -15,7 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import RunawayScenarioError, ScenarioError
+from .errors import RunawayScenarioError, ScenarioError, UnknownPolicyError
 from .goals import GoalDisplaySnapshot, Metric, MetricKind, fold_goal_state
 from .model import Address, ArtifactNature, CommunicationPattern, RoutedToken, TokenKind
 from .system import PolicySystem
@@ -127,6 +127,11 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             trigger = rule_raw.get("trigger", {})
             if "on_receive" not in trigger and "at_time" not in trigger:
                 raise ScenarioError(f"rule for {actor} has no trigger")
+            if "policy" in trigger:
+                if "at_time" not in trigger:
+                    raise ScenarioError(f"rule for {actor} names a policy without an at_time trigger")
+                if not isinstance(trigger["policy"], str) or not trigger["policy"]:
+                    raise ScenarioError(f"rule for {actor} names policy {trigger['policy']!r}, not a policy id")
             if "from" in trigger.get("on_receive", {}):
                 resolve(trigger["on_receive"]["from"], f"rule for {actor}")
             for action in rule_raw.get("actions", []):
@@ -249,7 +254,14 @@ class _Runner:
 
     def _execute(self, rule: Rule, token: Optional[RoutedToken]):
         system = self.system
-        policy_id = token.policy_id if token is not None else _first_policy(system)
+        if token is not None:
+            policy_id = token.policy_id
+        elif "policy" in rule.trigger:
+            policy_id = rule.trigger["policy"]
+            if policy_id not in system.policies:
+                raise UnknownPolicyError(policy_id)
+        else:
+            policy_id = _first_policy(system)
         for action in rule.actions:
             do = action["do"]
             if do == "submit_policy":

@@ -30,6 +30,9 @@ EVENT_KINDS = (
     "data-stored",
 )
 
+# One canonical encoder for every record: sorted keys, no spaces, ASCII only.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 _ADDRESS_FIELDS = (
     "who_carried_out",
     "source_address",
@@ -62,15 +65,13 @@ class EventRecord:
     body: dict
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _ENCODER.encode(
             {
                 "offset": self.offset,
                 "event_kind": self.event_kind,
                 "logical_time": self.logical_time,
                 "body": self.body,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 
@@ -94,7 +95,7 @@ class EventLog:
         self._fh = None
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self._path.open("w", encoding="utf-8")
+            self._fh = self._path.open("wb")
 
     def append(self, event_kind: str, body: dict, logical_time: int) -> int:
         if event_kind not in EVENT_KINDS:
@@ -103,11 +104,12 @@ class EventLog:
         self._records.append(record)
         if self._fh is not None:
             # The file is only ever opened in __init__, so every earlier
-            # record was hashed here too.
-            line = record.to_json() + "\n"
+            # record was hashed here too. The flush makes each record durable
+            # once append returns.
+            line = (record.to_json() + "\n").encode("utf-8")
             self._fh.write(line)
             self._fh.flush()
-            self._digest.update(line.encode("utf-8"))
+            self._digest.update(line)
             self._hashed += 1
         return record.offset
 
@@ -178,6 +180,8 @@ class EventLog:
                     ) from None
                 if not isinstance(record.body, dict):
                     raise CorruptLogError(f"line {number}: body is not a JSON object")
+                if record.event_kind not in EVENT_KINDS:
+                    raise CorruptLogError(f"line {number}: unknown event kind {record.event_kind!r}")
                 log._records.append(record)
         return log
 
@@ -202,7 +206,15 @@ class DataStore:
         record = DataRecord(data_id, payload, media_hint, by, self._clock.tick())
         self._records[data_id] = record
         if self._root is not None:
-            (self._root / data_id).write_bytes(payload)
+            # The file name fixes its content, so a file that already holds the
+            # payload is left alone; a missing, truncated or altered one is written.
+            path = self._root / data_id
+            try:
+                stored = path.read_bytes() == payload
+            except FileNotFoundError:
+                stored = False
+            if not stored:
+                path.write_bytes(payload)
         self._log.append("data-stored", record.to_record(), record.timestamp)
         if self.on_stored is not None:
             self.on_stored(record)

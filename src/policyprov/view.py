@@ -13,7 +13,7 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import Optional
 
-from .errors import UnknownPolicyError
+from .errors import CorruptLogError, UnknownPolicyError
 from .model import Address, LocalToken, RoutedToken, TokenKind
 from .storage import EventLog
 
@@ -131,12 +131,15 @@ def views_of(log: EventLog, policy_ids) -> dict:
         parts = found.get(rec.body.get("policy_id"))
         if parts is None:
             continue
-        if rec.event_kind == "local-token":
-            parts[0].append(LocalToken.from_record(rec.body))
-        elif rec.event_kind == "routed-token-send":
-            parts[1].append(RoutedToken.from_record(rec.body))
-        elif rec.event_kind == "routed-token-receive":
-            parts[2][rec.body["token_id"]] = rec.logical_time
+        try:
+            if rec.event_kind == "local-token":
+                parts[0].append(LocalToken.from_record(rec.body))
+            elif rec.event_kind == "routed-token-send":
+                parts[1].append(RoutedToken.from_record(rec.body))
+            elif rec.event_kind == "routed-token-receive":
+                parts[2][rec.body["token_id"]] = rec.logical_time
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:  # a field missing, extra or of a bad value
+            raise CorruptLogError(f"offset {rec.offset}: {rec.event_kind} body is not a token: {exc!r}") from None
     for pid, parts in found.items():
         if not any(parts) and all(rec.body.get("policy_id") != pid for rec in log):
             raise UnknownPolicyError(pid)

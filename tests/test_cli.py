@@ -105,13 +105,24 @@ class TestQuery:
 
 @pytest.mark.parametrize("command", [["query"], ["export", "--prov", "-o", "x.json"]])
 @pytest.mark.parametrize("bad", [b'{"offset":0}', b"[1,2]", b'{"offset":', b"\xff\xfe",
-                                 b'{"offset":0,"event_kind":"decision","logical_time":1,"body":[]}'])
+                                 b'{"offset":0,"event_kind":"decision","logical_time":1,"body":[]}',
+                                 b'{"offset":0,"event_kind":"bogus","logical_time":1,"body":{}}'])
 def test_corrupt_log_exits_2(tmp_path, monkeypatch, capsys, command, bad):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "events.jsonl").write_bytes(bad + b"\n")
     assert main([command[0], "events.jsonl", *command[1:]]) == 2
     assert capsys.readouterr().err.startswith("cannot read log: line 1: ")
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["--prov", "--graph"])
+def test_token_record_that_does_not_decode_exits_2(tmp_path, capsys, kind):
+    log = tmp_path / "events.jsonl"
+    log.write_bytes(b'{"offset":0,"event_kind":"local-token","logical_time":1,"body":{"policy_id":"pol-1"}}\n')
+    out = tmp_path / "x"
+    assert main(["export", str(log), kind, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("cannot read log: offset 0: local-token body ")
+    assert not out.exists()
 
 
 class TestExport:

@@ -1,6 +1,8 @@
 """Token templates, addresses, and validation rules."""
 
 import hashlib
+from dataclasses import fields
+from enum import Enum
 
 import pytest
 from hypothesis import given
@@ -141,6 +143,21 @@ class TestRecordRoundtrip:
     def test_local_roundtrip_property(self, task, output, seq, nature):
         token = make_local(task=task, task_output=output, seq_num=seq, nature_of_task_output=nature)
         assert LocalToken.from_record(token.to_record()) == token
+
+
+@pytest.mark.parametrize("token", [make_local(data_reference="d-1"), make_routed(),
+                                   make_routed(kind=TokenKind.NOTIFICATION, required_action=None)],
+                         ids=["local", "routed", "notification"])
+def test_record_keeps_field_order_with_enums_and_addresses_as_text(token):
+    rec = token.to_record()
+    assert list(rec) == [f.name for f in fields(token)]
+    for name, value in vars(token).items():
+        if isinstance(value, Enum):
+            assert type(rec[name]) is str and rec[name] == value.value
+        elif isinstance(value, Address):
+            assert rec[name] == str(value)
+        else:
+            assert rec[name] is value
 
 
 class TestLocalValidation:

@@ -1,5 +1,7 @@
 """Controllers, sequencing, routing, dedup, and delivery receipts."""
 
+from dataclasses import replace
+
 import pytest
 
 from policyprov import Address, TokenKind
@@ -210,6 +212,27 @@ class TestRouting:
                                      task_description="d")
         with pytest.raises(IntraNetworkRouteError):
             system.network.route_external(token)
+
+    def test_receive_record_equals_the_send_record_without_sharing_it(self):
+        system, policy = self.setup_run()
+        token, _ = system.send_token(SNT, policy.policy_id, destination=COMMUNITY,
+                                     previous_task="t", previous_task_output="o",
+                                     task_description="d")
+        send, receive = [r for r in system.log if r.body.get("token_id") == token.token_id][:2]
+        assert (send.event_kind, receive.event_kind) == ("routed-token-send", "routed-token-receive")
+        assert receive.body == send.body == token.to_record()
+        assert receive.body is not send.body
+
+    def test_connector_delivery_logs_the_tokens_record(self):
+        system, policy = self.setup_run()
+        token, _ = system.send_token(SNT, policy.policy_id, destination=COMMUNITY,
+                                     previous_task="t", previous_task_output="o",
+                                     task_description="d")
+        fresh = replace(token, token_id="t-fresh")
+        assert system.network.route_external(fresh).outcome == "delivered"
+        [receive] = [r for r in system.log.scan(event_kind="routed-token-receive")
+                     if r.body["token_id"] == "t-fresh"]
+        assert receive.body == fresh.to_record()
 
     def test_duplicate_routing_is_ignored_and_state_preserved(self):
         system, policy = self.setup_run()

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from policyprov import Address, Metric, MetricKind, TokenKind, fixture_path, load_scenario, run, trace_report
-from policyprov.errors import DuplicateGoalError, RunawayScenarioError, ScenarioError
+from policyprov.cli import main
+from policyprov.errors import DuplicateGoalError, RunawayScenarioError, ScenarioError, UnknownPolicyError
 from policyprov.simulation import Rule, _Runner, build_system, trace_of
 
 from conftest import random_scenario_dict, two_policy_scenario_dict
@@ -278,6 +279,45 @@ class TestScheduler:
                                          task_description=description, required_action=required_action)
             tokens.append(token)
         assert [(rule.rule_id, token) for rule, token in runner.pending] == oracle_pending(scenario, tokens)
+
+
+def with_owner_timer(raw: dict, at_time: int, **trigger) -> dict:
+    """`raw` (two_policy_scenario_dict) plus an owner rule at `at_time` that decides "continue"."""
+    raw["behaviors"][2]["rules"].append(
+        {"trigger": {"at_time": at_time, **trigger}, "actions": [{"do": "decide", "decision": "continue"}]}
+    )
+    return raw
+
+
+class TestTimeRulePolicy:
+    @pytest.mark.parametrize("trigger, policy_id", [
+        ({}, "pol-1"), ({"policy": "pol-1"}, "pol-1"), ({"policy": "pol-2"}, "pol-2"),
+    ], ids=["unnamed-is-first", "first", "later"])
+    def test_acts_on_the_named_policy_or_else_the_first(self, trigger, policy_id):
+        trace = run(load_scenario(with_owner_timer(two_policy_scenario_dict(), 2, **trigger)))
+        decisions = [rec.body for rec in trace.log if rec.body.get("decision") == "continue"]
+        assert [body["policy_id"] for body in decisions] == [policy_id]
+
+    @pytest.mark.parametrize("policy", ["", 2, None, ["pol-1"]])
+    def test_policy_that_is_not_an_id_rejected(self, policy):
+        with pytest.raises(ScenarioError, match="not a policy id"):
+            load_scenario(with_owner_timer(two_policy_scenario_dict(), 2, policy=policy))
+
+    def test_policy_on_a_receive_rule_rejected(self):
+        raw = two_policy_scenario_dict()
+        raw["behaviors"][2]["rules"][0]["trigger"]["policy"] = "pol-1"
+        with pytest.raises(ScenarioError, match="without an at_time trigger"):
+            load_scenario(raw)
+
+    def test_policy_not_created_yet_stops_the_run_with_exit_2(self, tmp_path, capsys):
+        # The timer at 0 fires after alpha's submission (pol-1) and before beta's (pol-2).
+        raw = with_owner_timer(two_policy_scenario_dict(), 0, policy="pol-2")
+        with pytest.raises(UnknownPolicyError):
+            run(load_scenario(raw))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("run failed: unknown-policy: pol-2")
 
 
 class TestTraceOf:

@@ -2,13 +2,22 @@
 
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import policyprov
 from policyprov import Address, DataStore, EventLog, LogicalClock, fixture_path, load_scenario, run
 from policyprov.errors import CorruptLogError, UnknownDataIdError
+from policyprov.model import content_hash
+from policyprov.prov import build_prov
+from policyprov.reconstruct import reconstruct_process
 from policyprov.storage import EVENT_KINDS
 
 from conftest import oracle_scan
@@ -61,6 +70,7 @@ class TestEventLog:
     @pytest.mark.parametrize("bad", [
         b'{"offset":0}', b'{"offset":1,"event_kind":"decision","logical_time":2}',
         b"[1,2]", b'{"offset":', b"\xff\xfe", b'{"offset":0,"event_kind":"decision","logical_time":1,"body":[]}',
+        b'{"offset":0,"event_kind":"bogus","logical_time":1,"body":{}}',
     ])
     def test_malformed_line_raises_naming_the_line(self, tmp_path, bad):
         path = tmp_path / "events.jsonl"
@@ -69,6 +79,38 @@ class TestEventLog:
         path.write_bytes(log[0].to_json().encode("utf-8") + b"\n\n" + bad + b"\n")
         with pytest.raises(CorruptLogError, match="^line 3: "):
             EventLog.load(path)
+
+    @pytest.mark.parametrize("kind, spoil", [
+        ("local-token", lambda body: {"policy_id": body["policy_id"]}),
+        ("routed-token-send", lambda body: {k: v for k, v in body.items() if k != "communication_with"}),
+        ("routed-token-send", lambda body: body | {"kind": "bogus"}),
+        ("local-token", lambda body: body | {"who_carried_out": "no-separator"}),
+        ("local-token", lambda body: body | {"who_carried_out": 5}),
+        ("local-token", lambda body: body | {"colour": "red"}),
+        ("routed-token-receive", lambda body: {"policy_id": body["policy_id"]}),
+    ], ids=["missing-fields", "missing-address", "bad-enum", "bad-address", "address-not-text",
+            "extra-field", "receive-without-token-id"])
+    def test_token_record_that_does_not_decode_raises_naming_its_offset(self, tmp_path, kind, spoil):
+        path = tmp_path / "events.jsonl"
+        run(load_scenario(fixture_path("pattern_sequential")), log_path=path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        bad = next(raw for raw in lines if raw["event_kind"] == kind)
+        bad["body"] = spoil(bad["body"])
+        path.write_text("".join(json.dumps(raw) + "\n" for raw in lines))
+        log = EventLog.load(path)  # every line is a record; the token inside is not
+        for export in (build_prov, reconstruct_process):
+            with pytest.raises(CorruptLogError, match=f"^offset {bad['offset']}: {kind} body "):
+                export(log, "pol-1")
+
+    def test_file_holds_the_records_json_lines(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
+        log.append("decision", {"policy_id": "pol-1", "note": "Zoë's café — 東京"}, 1)
+        log.append("receipt", {"token_id": "t", "outcome": "delivered"}, 2)
+        data = path.read_bytes()  # before close: each append is flushed
+        assert data == "".join(rec.to_json() + "\n" for rec in log).encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == log.content_hash()
+        log.close()
 
     def test_to_json_is_canonical(self):
         log = EventLog()
@@ -111,6 +153,40 @@ class TestContentHash:
         log.append("decision", {"policy_id": "pol-1", "n": 4}, 5)
         assert log.content_hash() == full_hash(log)
         assert len(set(hashes)) == len(hashes)
+
+
+# Runs one fixture and kills itself with SIGKILL as soon as its k-th append returns.
+_KILLED_AFTER_APPEND = """
+import os, signal, sys
+from policyprov import fixture_path, load_scenario, run
+from policyprov.storage import EventLog
+
+path, k = sys.argv[1], int(sys.argv[2])
+append = EventLog.append
+
+def append_then_die(self, *args):
+    offset = append(self, *args)
+    if offset + 1 == k:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return offset
+
+EventLog.append = append_then_die
+run(load_scenario(fixture_path("neighbourhood_safety")), log_path=path)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+@pytest.mark.parametrize("k", [1, 17, 41])
+def test_killed_writer_leaves_every_appended_record(tmp_path, k):
+    path = tmp_path / "events.jsonl"
+    src = str(Path(policyprov.__file__).resolve().parent.parent)
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _KILLED_AFTER_APPEND, str(path), str(k)],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == -signal.SIGKILL, result.stderr
+    whole = run(load_scenario(fixture_path("neighbourhood_safety"))).log
+    assert len(whole) >= k
+    assert [rec.to_json() for rec in EventLog.load(path)] == [rec.to_json() for rec in whole][:k]
 
 
 # Small structured strategy: logs of a few records with overlapping field values.
@@ -186,3 +262,20 @@ class TestDataStore:
         store, _ = self.make(tmp_path)
         record = store.put(b"bytes", ALICE, "blob")
         assert (tmp_path / record.data_id).read_bytes() == b"bytes"
+
+    def test_file_already_holding_the_payload_is_not_rewritten(self, tmp_path):
+        path = tmp_path / content_hash(b"bytes")
+        path.write_bytes(b"bytes")
+        os.utime(path, ns=(10**9, 10**9))
+        inode = path.stat().st_ino
+        store, _ = self.make(tmp_path)
+        store.put(b"bytes", ALICE, "blob")
+        assert (path.stat().st_mtime_ns, path.stat().st_ino) == (10**9, inode)
+
+    @pytest.mark.parametrize("existing", [b"byt", b"bytez"], ids=["truncated", "altered"])
+    def test_damaged_file_is_rewritten(self, tmp_path, existing):
+        path = tmp_path / content_hash(b"bytes")
+        path.write_bytes(existing)
+        store, _ = self.make(tmp_path)
+        store.put(b"bytes", ALICE, "blob")
+        assert path.read_bytes() == b"bytes"

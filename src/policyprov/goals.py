@@ -1,8 +1,8 @@
 """Goal handling: goal/metric definition, continuous evaluation, snapshots.
 
-Goal state is derived from the event log; the live engine keeps a cache, but
-`goal_display_snapshot` recomputes the same state by folding the log so that
-two snapshots over the same prefix are always identical.
+Goal state is a fold over the event log's goal records, and `GoalBook.apply`
+is its one transition: the live engine applies each record it appends, and
+`fold_goal_state` applies the logged ones, so the two agree by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     NotOwnerError,
     UnknownGoalError,
     UnknownPhaseError,
-    UnknownPolicyError,
 )
 from .model import Address, DataRecord, LocalToken, PolicyRef, PolicyStatus, RoutedToken, TokenKind
 from .storage import EventLog, LogicalClock
@@ -75,16 +74,15 @@ class Metric:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Metric":
-        metric = cls(
+        return cls(
             metric_id=rec["metric_id"],
             kind=MetricKind(rec["kind"]),
             artifact_key=rec.get("artifact_key", ""),
             approver=Address.parse(rec["approver"]) if rec.get("approver") else None,
+            status=MetricStatus(rec.get("status", "pending")),
+            satisfied_by=rec.get("satisfied_by"),
             version=rec.get("version", 1),
         )
-        metric.status = MetricStatus(rec.get("status", "pending"))
-        metric.satisfied_by = rec.get("satisfied_by")
-        return metric
 
 
 @dataclass
@@ -113,16 +111,15 @@ class Goal:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Goal":
-        goal = cls(
+        return cls(
             goal_id=rec["goal_id"],
             policy_id=rec["policy_id"],
             phase_id=rec["phase_id"],
             name=rec["name"],
             metrics=[Metric.from_record(m) for m in rec["metrics"]],
+            status=GoalStatus(rec.get("status", "active")),
             version=rec.get("version", 1),
         )
-        goal.status = GoalStatus(rec.get("status", "active"))
-        return goal
 
 
 @dataclass
@@ -164,6 +161,53 @@ class GoalDisplaySnapshot:
         }
 
 
+GOAL_KINDS = frozenset(("goal-defined", "goal-modified", "metric-satisfied", "goal-satisfied"))
+
+
+class GoalBook:
+    """Goal state and its indexes, changed only by `apply`."""
+
+    def __init__(self):
+        # Every goal by id, in first-definition order; a redefinition keeps its place.
+        self.goals: dict[str, Goal] = {}
+        # Each policy's goals by id in definition order: the index every token's
+        # stamping and evaluation reads instead of walking all goals.
+        self.by_policy: dict[str, dict[str, Goal]] = {}
+        # Every canonical artifact key any version of a goal has named, to
+        # those goals' ids: a superset that `_match` re-checks, never pruned.
+        self.by_artifact: dict[str, set[str]] = {}
+        # Each goal id's place in `goals`.
+        self.position: dict[str, int] = {}
+
+    def apply(self, event_kind: str, body: dict) -> None:
+        """Apply one record of a kind in `GOAL_KINDS`; goals it names but
+        the book does not hold are ignored."""
+        if event_kind in ("goal-defined", "goal-modified"):
+            new = Goal.from_record(body)
+            goal = self.goals.get(new.goal_id)
+            if goal is None:
+                goal = self.goals[new.goal_id] = new
+                self.position[goal.goal_id] = len(self.position)
+            else:
+                # In place, so that a goal object handed out stays live.
+                vars(goal).update(vars(new))
+            self.by_policy.setdefault(goal.policy_id, {})[goal.goal_id] = goal
+            for metric in goal.metrics:
+                if metric.kind is MetricKind.ARTIFACT_DELIVERY:
+                    self.by_artifact.setdefault(canonical_artifact(metric.artifact_key), set()).add(goal.goal_id)
+            return
+        goal = self.goals.get(body["goal_id"])
+        if goal is None:
+            return
+        if event_kind == "metric-satisfied":
+            for metric in goal.metrics:
+                if metric.metric_id == body["metric_id"]:
+                    metric.status = MetricStatus.SATISFIED
+                    metric.satisfied_by = body["satisfied_by"]
+        elif event_kind == "goal-satisfied":
+            goal.status = GoalStatus.SATISFIED
+
+
 class GoalEngine:
     """Goal Manager + Goal Display: definition, monitoring, decisions."""
 
@@ -171,45 +215,38 @@ class GoalEngine:
         self,
         log: EventLog,
         clock: LogicalClock,
-        policies: dict[str, PolicyRef],
         phases: tuple[str, ...],
     ):
         self._log = log
         self._clock = clock
-        self._policies = policies
         self.phases = tuple(phases)
         # Called with (goal, event) when an event satisfies a goal's last metric.
         self.on_goal_satisfied: Optional[Callable] = None
-        self._goals: dict[str, Goal] = {}
-        # Each policy's goals by id in definition order: the index every token's
-        # stamping and evaluation reads instead of walking all goals.
-        self._by_policy: dict[str, dict[str, Goal]] = {}
-        # Every canonical artifact key any version of a goal has named, to
-        # those goals' ids: a superset that `_match` re-checks, never pruned.
-        self._by_artifact: dict[str, set[str]] = {}
-        # Each goal id's place in `_goals`, which a redefinition keeps.
-        self._position: dict[str, int] = {}
+        self._book = GoalBook()
         self._counter = 0
 
-    # -- registry views -------------------------------------------------
+    def _record(self, event_kind: str, body: dict) -> None:
+        """Apply a goal record, then log it: the only way goal state changes.
+        In this order, whoever reads the state as the record is appended sees
+        the state the record describes."""
+        self._book.apply(event_kind, body)
+        self._log.append(event_kind, body, self._clock.tick())
 
-    @property
-    def goal_ids(self):
-        return self._goals.keys()
+    # -- registry views -------------------------------------------------
 
     def goal(self, goal_id: str, policy_id: str) -> Goal:
         """The policy's goal of that id; a goal of another policy is unknown to it."""
         try:
-            return self._by_policy[policy_id][goal_id]
+            return self._book.by_policy[policy_id][goal_id]
         except KeyError:
             raise UnknownGoalError(goal_id) from None
 
     def goals_for(self, policy_id: str) -> list[Goal]:
-        return list(self._by_policy.get(policy_id, {}).values())
+        return list(self._book.by_policy.get(policy_id, {}).values())
 
     def current_goal(self, policy_id: str) -> Optional[Goal]:
         """Earliest still-unsatisfied goal, else the last defined one."""
-        goals = self._by_policy.get(policy_id, {}).values()
+        goals = self._book.by_policy.get(policy_id, {}).values()
         for goal in goals:
             if goal.status is not GoalStatus.SATISFIED:
                 return goal
@@ -235,17 +272,12 @@ class GoalEngine:
         if goal_id is None:
             self._counter += 1
             goal_id = f"g-{self._counter}"
-        old = self._goals.get(goal_id)
+        old = self._book.goals.get(goal_id)
         if old is not None and old.policy_id != policy.policy_id:
             raise DuplicateGoalError(f"{goal_id} already belongs to {old.policy_id}")
-        goal = Goal(goal_id, policy.policy_id, phase, name, list(metrics))
-        # A redefinition keeps its place in both dicts, as in the fold over the log.
-        self._goals[goal_id] = goal
-        self._by_policy.setdefault(policy.policy_id, {})[goal_id] = goal
-        self._position.setdefault(goal_id, len(self._position))
-        self._index_artifacts(goal_id, goal.metrics)
-        self._log.append("goal-defined", goal.to_record() | {"by": str(by)}, self._clock.tick())
-        return goal
+        goal = Goal(goal_id, policy.policy_id, phase, name, metrics)
+        self._record("goal-defined", goal.to_record() | {"by": str(by)})
+        return self._book.goals[goal_id]
 
     def modify_goal(self, policy: PolicyRef, goal_id: str, change: dict, by: Address) -> Goal:
         """change: {"op": add-metric|remove-metric|replace-metric|rename, ...}."""
@@ -253,37 +285,24 @@ class GoalEngine:
             raise NotOwnerError(str(by))
         goal = self.goal(goal_id, policy.policy_id)
         op = change["op"]
-        if op in ("add-metric", "replace-metric"):
-            self._index_artifacts(goal_id, [change["metric"]])
+        metrics, name = list(goal.metrics), goal.name
         if op == "add-metric":
-            goal.metrics.append(change["metric"])
+            metrics.append(change["metric"])
         elif op == "remove-metric":
-            if len(goal.metrics) == 1:
+            if len(metrics) == 1:
                 raise LastMetricError(goal_id)
-            goal.metrics = [m for m in goal.metrics if m.metric_id != change["metric_id"]]
+            metrics = [m for m in metrics if m.metric_id != change["metric_id"]]
         elif op == "replace-metric":
-            goal.metrics = [
-                change["metric"] if m.metric_id == change["metric_id"] else m
-                for m in goal.metrics
-            ]
+            metrics = [change["metric"] if m.metric_id == change["metric_id"] else m for m in metrics]
         elif op == "rename":
-            goal.name = change["name"]
+            name = change["name"]
         else:
             raise ValueError(f"unknown goal change op: {op}")
-        goal.version += 1
+        new = Goal(goal_id, goal.policy_id, goal.phase_id, name, metrics, version=goal.version + 1)
         # A modification may reopen a previously satisfied goal.
-        goal.status = GoalStatus.SATISFIED if goal.all_satisfied() else GoalStatus.ACTIVE
-        self._log.append(
-            "goal-modified",
-            goal.to_record() | {"by": str(by), "op": op},
-            self._clock.tick(),
-        )
+        new.status = GoalStatus.SATISFIED if new.all_satisfied() else GoalStatus.ACTIVE
+        self._record("goal-modified", new.to_record() | {"by": str(by), "op": op})
         return goal
-
-    def _index_artifacts(self, goal_id: str, metrics: list[Metric]) -> None:
-        for metric in metrics:
-            if metric.kind is MetricKind.ARTIFACT_DELIVERY:
-                self._by_artifact.setdefault(canonical_artifact(metric.artifact_key), set()).add(goal_id)
 
     def decide_continuation(self, policy: PolicyRef, decision: str, by: Address) -> PolicyRef:
         if by != policy.owner:
@@ -310,11 +329,12 @@ class GoalEngine:
         policy and is matched against every goal that has named its artifact,
         in definition order.
         """
+        book = self._book
         if isinstance(event, (LocalToken, RoutedToken)):
-            goals = list(self._by_policy.get(event.policy_id, {}).values())
+            goals = list(book.by_policy.get(event.policy_id, {}).values())
         else:
-            goal_ids = self._by_artifact.get(canonical_artifact(event.media_hint), ())
-            goals = [self._goals[goal_id] for goal_id in sorted(goal_ids, key=self._position.__getitem__)]
+            goal_ids = book.by_artifact.get(canonical_artifact(event.media_hint), ())
+            goals = [book.goals[goal_id] for goal_id in sorted(goal_ids, key=book.position.__getitem__)]
         for goal in goals:
             for metric in goal.metrics:
                 if metric.status is not MetricStatus.PENDING:
@@ -322,30 +342,10 @@ class GoalEngine:
                 token_id = self._match(goal, metric, event)
                 if token_id is None:
                     continue
-                metric.status = MetricStatus.SATISFIED
-                metric.satisfied_by = token_id
-                self._log.append(
-                    "metric-satisfied",
-                    {
-                        "policy_id": goal.policy_id,
-                        "goal_id": goal.goal_id,
-                        "phase_id": goal.phase_id,
-                        "metric_id": metric.metric_id,
-                        "satisfied_by": token_id,
-                    },
-                    self._clock.tick(),
-                )
+                ids = {"policy_id": goal.policy_id, "goal_id": goal.goal_id, "phase_id": goal.phase_id}
+                self._record("metric-satisfied", ids | {"metric_id": metric.metric_id, "satisfied_by": token_id})
                 if goal.all_satisfied():
-                    goal.status = GoalStatus.SATISFIED
-                    self._log.append(
-                        "goal-satisfied",
-                        {
-                            "policy_id": goal.policy_id,
-                            "goal_id": goal.goal_id,
-                            "phase_id": goal.phase_id,
-                        },
-                        self._clock.tick(),
-                    )
+                    self._record("goal-satisfied", ids)
                 if goal.status is GoalStatus.SATISFIED and self.on_goal_satisfied is not None:
                     self.on_goal_satisfied(goal, event)
 
@@ -378,37 +378,13 @@ class GoalEngine:
                 return event.data_id
         return None
 
-    # -- display -----------------------------------------------------------
-
-    def goal_display_snapshot(self, policy_id: str, upto: Optional[int] = None) -> GoalDisplaySnapshot:
-        if policy_id not in self._policies:
-            raise UnknownPolicyError(policy_id)
-        goals = fold_goal_state(self._log, policy_id, upto=upto)
-        return GoalDisplaySnapshot.of(policy_id, goals, self._clock.now)
-
 
 def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Optional[int] = None) -> list[Goal]:
     """Rebuild goal state purely from recorded goal events."""
-    goals: dict[str, Goal] = {}
+    book = GoalBook()
     for rec in log:
         if upto is not None and rec.offset > upto:
             break
-        body = rec.body
-        if policy_id is not None and body.get("policy_id") != policy_id:
-            continue
-        if rec.event_kind in ("goal-defined", "goal-modified"):
-            record = {k: v for k, v in body.items() if k not in ("by", "op")}
-            goals[body["goal_id"]] = Goal.from_record(record)
-        elif rec.event_kind == "metric-satisfied":
-            goal = goals.get(body["goal_id"])
-            if goal is None:
-                continue
-            for metric in goal.metrics:
-                if metric.metric_id == body["metric_id"]:
-                    metric.status = MetricStatus.SATISFIED
-                    metric.satisfied_by = body["satisfied_by"]
-        elif rec.event_kind == "goal-satisfied":
-            goal = goals.get(body["goal_id"])
-            if goal is not None:
-                goal.status = GoalStatus.SATISFIED
-    return list(goals.values())
+        if rec.event_kind in GOAL_KINDS and (policy_id is None or rec.body.get("policy_id") == policy_id):
+            book.apply(rec.event_kind, rec.body)
+    return list(book.goals.values())

@@ -123,6 +123,7 @@ class LocalToken:
 
     @classmethod
     def from_record(cls, rec: dict) -> "LocalToken":
+        _require_ints(rec)
         rec = dict(rec)
         rec["who_carried_out"] = Address.parse(rec["who_carried_out"])
         rec["nature_of_task_input"] = ArtifactNature(rec["nature_of_task_input"])
@@ -164,6 +165,7 @@ class RoutedToken:
 
     @classmethod
     def from_record(cls, rec: dict) -> "RoutedToken":
+        _require_ints(rec)
         rec = dict(rec)
         for key in ("communication_with", "source_address", "destination_address"):
             rec[key] = Address.parse(rec[key])
@@ -198,6 +200,13 @@ def content_hash(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _require_ints(rec: dict) -> None:
+    """`timestamp` orders a token and `seq_num` names its activity: each must be an int, not a bool."""
+    for key in ("timestamp", "seq_num"):
+        if type(rec[key]) is not int:
+            raise TypeError(f"{key} is not an integer: {rec[key]!r}")
+
+
 def _flatten(obj) -> dict:
     """The dataclass's fields in declaration order (its `__init__` sets them
     in that order), each enum member replaced by its value."""
@@ -228,7 +237,7 @@ _LOCAL_MANDATORY = (
 )
 
 
-def validate_local_token(token: LocalToken, defined_goal_ids=None) -> TokenValidation:
+def validate_local_token(token: LocalToken) -> TokenValidation:
     """Check the local-token template invariants; never raises."""
     violations = []
     for name in _LOCAL_MANDATORY:
@@ -236,8 +245,6 @@ def validate_local_token(token: LocalToken, defined_goal_ids=None) -> TokenValid
             violations.append(name)
     if token.seq_num < 1:
         violations.append("seq_num")
-    if defined_goal_ids is not None and token.goal_id and token.goal_id not in defined_goal_ids:
-        violations.append("goal_id")
     return TokenValidation(not violations, violations)
 
 
@@ -254,7 +261,7 @@ _ROUTED_TASK_MANDATORY = (
 )
 
 
-def validate_routed_token(token: RoutedToken, defined_goal_ids=None) -> TokenValidation:
+def validate_routed_token(token: RoutedToken) -> TokenValidation:
     """Check the routed-token template invariants; never raises."""
     violations = []
     for name in _ROUTED_MANDATORY:
@@ -270,6 +277,4 @@ def validate_routed_token(token: RoutedToken, defined_goal_ids=None) -> TokenVal
         violations.append("addresses")
     if token.communication_with != token.destination_address:
         violations.append("communication_with")
-    if defined_goal_ids is not None and token.goal_id and token.goal_id not in defined_goal_ids:
-        violations.append("goal_id")
     return TokenValidation(not violations, violations)

@@ -193,7 +193,7 @@ class NetworkEngine:
             timestamp=self._clock.tick(),
             data_reference=data_reference,
         )
-        result = validate_local_token(token, defined_goal_ids=self._goals.goal_ids)
+        result = validate_local_token(token)
         if not result.ok:
             raise InvalidTokenError(result.violations)
         self._log.append("local-token", token.to_record(), token.timestamp)
@@ -245,7 +245,7 @@ class NetworkEngine:
             destination_address=destination,
             kind=kind,
         )
-        result = validate_routed_token(token, defined_goal_ids=self._goals.goal_ids)
+        result = validate_routed_token(token)
         if not result.ok:
             raise InvalidTokenError(result.violations)
         record = token.to_record()

@@ -5,7 +5,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from .goals import GoalEngine
+from .errors import UnknownPolicyError
+from .goals import GoalDisplaySnapshot, GoalEngine, fold_goal_state
 from .model import Address, DEFAULT_PHASES, PolicyRef
 from .network import NetworkEngine
 from .storage import DataStore, EventLog, LogicalClock
@@ -26,7 +27,7 @@ class PolicySystem:
         self.log = EventLog(log_path)
         self.store = DataStore(self.log, self.clock, data_root)
         self.policies: dict[str, PolicyRef] = {}
-        self.goals = GoalEngine(self.log, self.clock, self.policies, tuple(phases))
+        self.goals = GoalEngine(self.log, self.clock, tuple(phases))
         self.store.on_stored = self.goals.evaluate_event
         self.network = NetworkEngine(
             self.log, self.clock, self.store, self.policies, self.goals, seed=seed, owner=owner
@@ -55,17 +56,25 @@ class PolicySystem:
     def send_token(self, actor, policy_id, destination, **fields):
         return self.network.send_token(actor, policy_id, destination=destination, **fields)
 
+    def _policy(self, policy_id) -> PolicyRef:
+        try:
+            return self.policies[policy_id]
+        except KeyError:
+            raise UnknownPolicyError(str(policy_id)) from None
+
     def define_goal(self, policy_id, phase, name, metrics, by, goal_id=None):
-        return self.goals.define_goal(self.policies[policy_id], phase, name, metrics, by, goal_id)
+        return self.goals.define_goal(self._policy(policy_id), phase, name, metrics, by, goal_id)
 
     def modify_goal(self, policy_id, goal_id, change, by):
-        return self.goals.modify_goal(self.policies[policy_id], goal_id, change, by)
+        return self.goals.modify_goal(self._policy(policy_id), goal_id, change, by)
 
     def decide_continuation(self, policy_id, decision, by):
-        return self.goals.decide_continuation(self.policies[policy_id], decision, by)
+        return self.goals.decide_continuation(self._policy(policy_id), decision, by)
 
-    def goal_display_snapshot(self, policy_id, upto=None):
-        return self.goals.goal_display_snapshot(policy_id, upto=upto)
+    def goal_display_snapshot(self, policy_id, upto=None) -> GoalDisplaySnapshot:
+        """The policy's goals as folded from the log up to offset `upto`."""
+        self._policy(policy_id)
+        return GoalDisplaySnapshot.of(policy_id, fold_goal_state(self.log, policy_id, upto=upto), self.clock.now)
 
     def close(self):
         self.log.close()

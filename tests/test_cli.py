@@ -17,6 +17,14 @@ def non_owner_defines_goal() -> dict:
     return raw
 
 
+def time_rule_before_any_policy() -> dict:
+    raw = two_policy_scenario_dict()
+    raw["behaviors"] = [{"actor": "net/owner", "rules": [
+        {"trigger": {"at_time": 0}, "actions": [{"do": "decide", "decision": "continue"}]},
+    ]}]
+    return raw
+
+
 @pytest.fixture()
 def run_dir(tmp_path):
     out = tmp_path / "out"
@@ -62,7 +70,8 @@ class TestRun:
     @pytest.mark.parametrize("raw, code", [
         (two_policy_scenario_dict(second_goal="ga"), "duplicate-goal"),
         (non_owner_defines_goal(), "not-owner"),
-    ], ids=["goal-reused-by-second-policy", "goal-defined-by-non-owner"])
+        (time_rule_before_any_policy(), "unknown-policy"),
+    ], ids=["goal-reused-by-second-policy", "goal-defined-by-non-owner", "time-rule-before-any-policy"])
     def test_error_raised_mid_run_exits_2(self, tmp_path, capsys, raw, code):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(raw))
@@ -115,10 +124,21 @@ def test_corrupt_log_exits_2(tmp_path, monkeypatch, capsys, command, bad):
     assert not (tmp_path / "x.json").exists()
 
 
+LATE_LOCAL_TOKEN = {
+    "token_id": "t-1", "policy_id": "pol-1", "phase_id": "agenda-setting", "goal_id": "g-1", "seq_num": 1,
+    "task": "write", "task_input": "notes", "nature_of_task_input": "document", "task_output": "report",
+    "nature_of_task_output": "document", "task_description": "write", "who_carried_out": "net/alpha",
+    "nature_of_stakeholders": "internal", "data_details": "notes", "source_of_evidence": "notes",
+    "timestamp": "late", "data_reference": None,
+}
+
+
 @pytest.mark.parametrize("kind", ["--prov", "--graph"])
-def test_token_record_that_does_not_decode_exits_2(tmp_path, capsys, kind):
+@pytest.mark.parametrize("body", [{"policy_id": "pol-1"}, LATE_LOCAL_TOKEN],
+                         ids=["missing-fields", "timestamp-not-int"])
+def test_token_record_that_does_not_decode_exits_2(tmp_path, capsys, kind, body):
     log = tmp_path / "events.jsonl"
-    log.write_bytes(b'{"offset":0,"event_kind":"local-token","logical_time":1,"body":{"policy_id":"pol-1"}}\n')
+    log.write_text(json.dumps({"offset": 0, "event_kind": "local-token", "logical_time": 1, "body": body}) + "\n")
     out = tmp_path / "x"
     assert main(["export", str(log), kind, "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("cannot read log: offset 0: local-token body ")

@@ -14,9 +14,11 @@ from policyprov.errors import (
     TerminatedPolicyError,
     UnknownGoalError,
     UnknownPhaseError,
+    UnknownPolicyError,
 )
 from policyprov.goals import GoalStatus, MetricStatus, canonical_artifact, fold_goal_state
 from policyprov.simulation import _Runner, build_system
+from policyprov.storage import EventLog
 
 from conftest import (
     BCU,
@@ -307,6 +309,26 @@ class TestModifyGoal:
         with pytest.raises(UnknownGoalError):
             system.modify_goal(policy.policy_id, "nope", {"op": "rename", "name": "x"}, by=OWNER)
 
+    @pytest.mark.parametrize("change, error", [
+        ({"op": "remove-metric", "metric_id": "m1"}, LastMetricError),
+        ({"op": "add-metric", "metric": Metric("m2", MetricKind.APPROVAL, approver=BCU)}, NotOwnerError),
+        ({"op": "retitle", "name": "x"}, ValueError),
+    ], ids=["last-metric", "not-owner", "unknown-op"])
+    def test_rejected_change_leaves_goal_and_log_untouched(self, change, error):
+        system = make_system()
+        policy = open_policy(system)
+        goal = system.define_goal(
+            policy.policy_id, "agenda-setting", "g",
+            [Metric("m1", MetricKind.ARTIFACT_DELIVERY, artifact_key="report")],
+            by=OWNER, goal_id="g-one",
+        )
+        before, logged = goal.to_record(), len(system.log)
+        by = SNT if error is NotOwnerError else OWNER
+        with pytest.raises(error):
+            system.modify_goal(policy.policy_id, "g-one", change, by=by)
+        assert goal.to_record() == before
+        assert len(system.log) == logged
+
     def test_goal_of_another_policy_is_unknown(self):
         system = make_system()
         first = open_policy(system)
@@ -354,6 +376,22 @@ class TestDecisions:
             system.decide_continuation(policy.policy_id, "terminate", by=SNT)
 
 
+@pytest.mark.parametrize("call", [
+    lambda system: system.define_goal("pol-9", "agenda-setting", "g",
+                                      [Metric("m", MetricKind.APPROVAL, approver=BCU)], by=OWNER),
+    lambda system: system.modify_goal("pol-9", "g-one", {"op": "rename", "name": "x"}, by=OWNER),
+    lambda system: system.decide_continuation("pol-9", "continue", by=OWNER),
+    lambda system: system.goal_display_snapshot("pol-9"),
+], ids=["define", "modify", "decide", "snapshot"])
+def test_unknown_policy_rejected(call):
+    system = make_system()
+    open_policy(system)
+    logged = len(system.log)
+    with pytest.raises(UnknownPolicyError):
+        call(system)
+    assert len(system.log) == logged
+
+
 class TestSnapshots:
     def test_snapshot_is_a_pure_fold_of_the_log(self):
         system = make_system()
@@ -395,6 +433,82 @@ class TestSnapshots:
             m.status for m in live.metrics
         ]
         assert folded[goal.goal_id].metrics[0].status is MetricStatus.SATISFIED
+
+
+def metric_record(metric_id, artifact="", approver="", status="pending", satisfied_by=None):
+    kind = "approval" if approver else "artifact-delivery"
+    return {"metric_id": metric_id, "kind": kind, "artifact_key": artifact, "approver": approver,
+            "status": status, "satisfied_by": satisfied_by, "version": 1}
+
+
+def goal_record(goal_id, policy_id, name, metrics, status="active", version=1):
+    return {"goal_id": goal_id, "policy_id": policy_id, "phase_id": "agenda-setting", "name": name,
+            "status": status, "version": version, "metrics": metrics, "by": "local-council/policy-owner"}
+
+
+def satisfied(policy_id, goal_id, metric_id, by):
+    return {"policy_id": policy_id, "goal_id": goal_id, "phase_id": "agenda-setting",
+            "metric_id": metric_id, "satisfied_by": by}
+
+
+# Hand-written goal records, one per offset, that the table below folds.
+GOAL_RECORDS = [
+    ("goal-defined", goal_record("g-1", "pol-1", "report", [
+        metric_record("m1", artifact="report"), metric_record("m2", approver="local-council/bcu")])),
+    ("goal-defined", goal_record("g-2", "pol-2", "memo", [metric_record("n1", artifact="memo")])),
+    ("goal-defined", goal_record("g-3", "pol-1", "annex", [metric_record("k1", artifact="annex")])),
+    # A redefinition keeps g-1's place ahead of g-3.
+    ("goal-defined", goal_record("g-1", "pol-1", "final report", [
+        metric_record("m1", artifact="report"), metric_record("m2", approver="local-council/bcu")])),
+    ("metric-satisfied", satisfied("pol-1", "g-1", "m1", "t-1")),
+    ("metric-satisfied", satisfied("pol-1", "g-9", "m1", "t-2")),  # unknown goal
+    ("metric-satisfied", satisfied("pol-1", "g-1", "m9", "t-3")),  # unknown metric
+    ("metric-satisfied", satisfied("pol-1", "g-1", "m2", "t-4")),
+    ("goal-satisfied", {"policy_id": "pol-1", "goal_id": "g-1", "phase_id": "agenda-setting"}),
+    # Reopens g-1; the fold takes the status as recorded.
+    ("goal-modified", goal_record("g-1", "pol-1", "final report", [
+        metric_record("m1", artifact="report", status="satisfied", satisfied_by="t-1"),
+        metric_record("m2", approver="local-council/bcu", status="satisfied", satisfied_by="t-4"),
+        metric_record("m3", artifact="annex")], status="active", version=2) | {"op": "add-metric"}),
+    ("decision", {"policy_id": "pol-1", "decision": "continue", "by": "local-council/policy-owner"}),
+    ("metric-satisfied", satisfied("pol-2", "g-2", "n1", "d-1")),
+    ("goal-satisfied", {"policy_id": "pol-2", "goal_id": "g-2", "phase_id": "agenda-setting"}),
+]
+
+G1_DEFINED = ("g-1", "pol-1", "report", "active", 1, [("m1", "pending", None), ("m2", "pending", None)])
+G1_RENAMED = ("g-1", "pol-1", "final report", "active", 1, [("m1", "pending", None), ("m2", "pending", None)])
+G1_SATISFIED = ("g-1", "pol-1", "final report", "satisfied", 1, [
+    ("m1", "satisfied", "t-1"), ("m2", "satisfied", "t-4")])
+G1_REOPENED = ("g-1", "pol-1", "final report", "active", 2, [
+    ("m1", "satisfied", "t-1"), ("m2", "satisfied", "t-4"), ("m3", "pending", None)])
+G2_SATISFIED = ("g-2", "pol-2", "memo", "satisfied", 1, [("n1", "satisfied", "d-1")])
+G3 = ("g-3", "pol-1", "annex", "active", 1, [("k1", "pending", None)])
+
+
+@pytest.mark.parametrize("policy_id, upto, expected", [
+    ("pol-1", 0, [G1_DEFINED]),
+    ("pol-1", 2, [G1_DEFINED, G3]),
+    ("pol-1", 3, [G1_RENAMED, G3]),
+    ("pol-1", 6, [("g-1", "pol-1", "final report", "active", 1, [
+        ("m1", "satisfied", "t-1"), ("m2", "pending", None)]), G3]),
+    ("pol-1", 8, [G1_SATISFIED, G3]),
+    ("pol-1", None, [G1_REOPENED, G3]),
+    ("pol-2", 11, [("g-2", "pol-2", "memo", "active", 1, [("n1", "satisfied", "d-1")])]),
+    ("pol-2", None, [G2_SATISFIED]),
+    ("pol-3", None, []),
+    (None, None, [G1_REOPENED, G2_SATISFIED, G3]),
+], ids=["defined", "second-goal", "redefined-in-place", "unknown-goal-and-metric-ignored", "goal-satisfied",
+        "modified-reopens", "other-policy-upto", "other-policy", "no-goals", "every-policy"])
+def test_fold_of_hand_written_goal_records(policy_id, upto, expected):
+    log = EventLog()
+    for time, (kind, body) in enumerate(GOAL_RECORDS, start=1):
+        log.append(kind, body, time)
+    folded = [
+        (g.goal_id, g.policy_id, g.name, g.status.value, g.version,
+         [(m.metric_id, m.status.value, m.satisfied_by) for m in g.metrics])
+        for g in fold_goal_state(log, policy_id, upto=upto)
+    ]
+    assert folded == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -174,11 +174,6 @@ class TestLocalValidation:
         result = validate_local_token(make_local(seq_num=0))
         assert "seq_num" in result.violations
 
-    def test_unknown_goal_rejected_when_goal_set_given(self):
-        result = validate_local_token(make_local(), defined_goal_ids={"other"})
-        assert "goal_id" in result.violations
-        assert validate_local_token(make_local(), defined_goal_ids={"g-1"}).ok
-
 
 class TestRoutedValidation:
     def test_complete_token_is_valid(self):

@@ -11,6 +11,7 @@ from policyprov.errors import (
     NoOwnerConfiguredError,
     SelfDestinationError,
     UnknownActorError,
+    UnknownGoalError,
     UnknownNetworkError,
     UnknownPolicyError,
 )
@@ -146,6 +147,25 @@ class TestStamping:
             task_description="d", goal_id="g-later",
         )
         assert (token.goal_id, token.phase_id) == ("g-later", "analysis")
+
+    @pytest.mark.parametrize("create", [
+        lambda system, policy_id: system.create_local_token(
+            SNT, policy_id, task="t", task_input="i", task_output="o", task_description="d",
+            goal_id="g-nobody",
+        ),
+        lambda system, policy_id: system.send_token(
+            SNT, policy_id, destination=BCU, previous_task="t", previous_task_output="o",
+            task_description="d", goal_id="g-nobody",
+        ),
+    ], ids=["local-token", "send-token"])
+    def test_undefined_goal_rejected_before_anything_is_logged(self, create):
+        system = make_system()
+        policy = open_policy(system)
+        define_default_goal(system, policy)
+        logged = len(system.log)
+        with pytest.raises(UnknownGoalError):
+            create(system, policy.policy_id)
+        assert len(system.log) == logged
 
     def test_invalid_token_rejected_with_violations(self):
         system = make_system()

@@ -320,6 +320,17 @@ class TestTimeRulePolicy:
         assert capsys.readouterr().err.startswith("run failed: unknown-policy: pol-2")
 
 
+    @pytest.mark.parametrize("action", [
+        {"do": "decide", "decision": "continue"}, {"do": "define_goal", "goal": "g"},
+    ], ids=["decide", "define-goal"])
+    def test_owner_action_before_any_policy_stops_the_run(self, action):
+        raw = minimal_scenario(behaviors=[
+            {"actor": "net/owner", "rules": [{"trigger": {"at_time": 0}, "actions": [action]}]},
+        ])
+        with pytest.raises(UnknownPolicyError):
+            run(load_scenario(raw))
+
+
 class TestTraceOf:
     @pytest.mark.parametrize("raw", [fixture_path(name) for name in FIXTURES] + [two_policy_scenario_dict()],
                              ids=FIXTURES + ["two-policies"])

@@ -88,8 +88,12 @@ class TestEventLog:
         ("local-token", lambda body: body | {"who_carried_out": 5}),
         ("local-token", lambda body: body | {"colour": "red"}),
         ("routed-token-receive", lambda body: {"policy_id": body["policy_id"]}),
+        ("local-token", lambda body: body | {"timestamp": "late"}),
+        ("local-token", lambda body: body | {"timestamp": True}),
+        ("local-token", lambda body: body | {"seq_num": "x"}),
     ], ids=["missing-fields", "missing-address", "bad-enum", "bad-address", "address-not-text",
-            "extra-field", "receive-without-token-id"])
+            "extra-field", "receive-without-token-id", "timestamp-not-int", "timestamp-bool",
+            "seq-num-not-int"])
     def test_token_record_that_does_not_decode_raises_naming_its_offset(self, tmp_path, kind, spoil):
         path = tmp_path / "events.jsonl"
         run(load_scenario(fixture_path("pattern_sequential")), log_path=path)

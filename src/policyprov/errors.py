@@ -32,6 +32,12 @@ class DuplicateGoalError(PolicyProvError):
     code = "duplicate-goal"
 
 
+class DuplicateMetricError(PolicyProvError):
+    """Two metrics of one goal share a metric id."""
+
+    code = "duplicate-metric"
+
+
 class LastMetricError(PolicyProvError):
     code = "removing-last-metric"
 
@@ -54,6 +60,12 @@ class TerminatedPolicyError(PolicyProvError):
 
 class AlreadyTerminatedError(PolicyProvError):
     code = "already-terminated"
+
+
+class UnknownDecisionError(PolicyProvError):
+    """A continuation decision other than continue or terminate."""
+
+    code = "unknown-decision"
 
 
 class SelfDestinationError(PolicyProvError):

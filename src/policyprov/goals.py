@@ -14,13 +14,15 @@ from typing import Callable, Optional
 from .errors import (
     AlreadyTerminatedError,
     DuplicateGoalError,
+    DuplicateMetricError,
     EmptyMetricsError,
     LastMetricError,
     NotOwnerError,
+    UnknownDecisionError,
     UnknownGoalError,
     UnknownPhaseError,
 )
-from .model import Address, DataRecord, LocalToken, PolicyRef, PolicyStatus, RoutedToken, TokenKind
+from .model import Address, DataRecord, LocalToken, PolicyRef, PolicyStatus, TokenKind
 from .storage import EventLog, LogicalClock
 
 
@@ -174,7 +176,7 @@ class GoalBook:
         # stamping and evaluation reads instead of walking all goals.
         self.by_policy: dict[str, dict[str, Goal]] = {}
         # Every canonical artifact key any version of a goal has named, to
-        # those goals' ids: a superset that `_match` re-checks, never pruned.
+        # those goals' ids: a superset that `evaluate_event` re-checks, never pruned.
         self.by_artifact: dict[str, set[str]] = {}
         # Each goal id's place in `goals`.
         self.position: dict[str, int] = {}
@@ -275,6 +277,7 @@ class GoalEngine:
         old = self._book.goals.get(goal_id)
         if old is not None and old.policy_id != policy.policy_id:
             raise DuplicateGoalError(f"{goal_id} already belongs to {old.policy_id}")
+        _check_metric_ids(goal_id, metrics)
         goal = Goal(goal_id, policy.policy_id, phase, name, metrics)
         self._record("goal-defined", goal.to_record() | {"by": str(by)})
         return self._book.goals[goal_id]
@@ -298,6 +301,7 @@ class GoalEngine:
             name = change["name"]
         else:
             raise ValueError(f"unknown goal change op: {op}")
+        _check_metric_ids(goal_id, metrics)
         new = Goal(goal_id, goal.policy_id, goal.phase_id, name, metrics, version=goal.version + 1)
         # A modification may reopen a previously satisfied goal.
         new.status = GoalStatus.SATISFIED if new.all_satisfied() else GoalStatus.ACTIVE
@@ -308,7 +312,7 @@ class GoalEngine:
         if by != policy.owner:
             raise NotOwnerError(str(by))
         if decision not in ("continue", "terminate"):
-            raise ValueError(decision)
+            raise UnknownDecisionError(f"{decision!r} is neither continue nor terminate")
         if decision == "terminate":
             if policy.status is PolicyStatus.TERMINATED:
                 raise AlreadyTerminatedError(policy.policy_id)
@@ -325,58 +329,49 @@ class GoalEngine:
     def evaluate_event(self, event) -> None:
         """Match an appended token or data record against pending metrics.
 
-        A token can only satisfy its own policy's goals; a data record has no
-        policy and is matched against every goal that has named its artifact,
-        in definition order.
+        An event delivers one canonical artifact: a local token's output, a
+        routed token's previous output or a data record's media hint. A token
+        meets only its own policy's goals; a data record meets every goal that
+        has named its artifact, in definition order.
         """
         book = self._book
-        if isinstance(event, (LocalToken, RoutedToken)):
-            goals = list(book.by_policy.get(event.policy_id, {}).values())
+        approver = None  # the sender of an approval response
+        if isinstance(event, DataRecord):
+            artifact, satisfied_by = canonical_artifact(event.media_hint), event.data_id
+            goal_ids = sorted(book.by_artifact.get(artifact, ()), key=book.position.__getitem__)
+            goals = [book.goals[goal_id] for goal_id in goal_ids]
         else:
-            goal_ids = book.by_artifact.get(canonical_artifact(event.media_hint), ())
-            goals = [book.goals[goal_id] for goal_id in sorted(goal_ids, key=book.position.__getitem__)]
+            satisfied_by = event.token_id
+            goals = list(book.by_policy.get(event.policy_id, {}).values())
+            if isinstance(event, LocalToken):
+                artifact = canonical_artifact(event.task_output)
+            else:
+                artifact = canonical_artifact(event.previous_task_output)
+                if event.kind is TokenKind.APPROVAL_RESPONSE:
+                    approver = event.source_address
         for goal in goals:
             for metric in goal.metrics:
                 if metric.status is not MetricStatus.PENDING:
                     continue
-                token_id = self._match(goal, metric, event)
-                if token_id is None:
+                if metric.kind is MetricKind.APPROVAL:
+                    # Met by a response from its approver that names no other goal.
+                    if metric.approver != approver or (event.goal_id and event.goal_id != goal.goal_id):
+                        continue
+                elif canonical_artifact(metric.artifact_key) != artifact:
                     continue
                 ids = {"policy_id": goal.policy_id, "goal_id": goal.goal_id, "phase_id": goal.phase_id}
-                self._record("metric-satisfied", ids | {"metric_id": metric.metric_id, "satisfied_by": token_id})
+                self._record("metric-satisfied", ids | {"metric_id": metric.metric_id, "satisfied_by": satisfied_by})
                 if goal.all_satisfied():
                     self._record("goal-satisfied", ids)
                 if goal.status is GoalStatus.SATISFIED and self.on_goal_satisfied is not None:
                     self.on_goal_satisfied(goal, event)
 
-    @staticmethod
-    def _match(goal: Goal, metric: Metric, event) -> Optional[str]:
-        """`evaluate_event` passes a token only its own policy's goals."""
-        if isinstance(event, LocalToken):
-            if metric.kind is MetricKind.ARTIFACT_DELIVERY and canonical_artifact(
-                event.task_output
-            ) == canonical_artifact(metric.artifact_key):
-                return event.token_id
-            return None
-        if isinstance(event, RoutedToken):
-            if (
-                metric.kind is MetricKind.APPROVAL
-                and event.kind is TokenKind.APPROVAL_RESPONSE
-                and event.source_address == metric.approver
-                and (not event.goal_id or event.goal_id == goal.goal_id)
-            ):
-                return event.token_id
-            if metric.kind is MetricKind.ARTIFACT_DELIVERY and canonical_artifact(
-                event.previous_task_output
-            ) == canonical_artifact(metric.artifact_key):
-                return event.token_id
-            return None
-        if isinstance(event, DataRecord):
-            if metric.kind is MetricKind.ARTIFACT_DELIVERY and canonical_artifact(
-                event.media_hint
-            ) == canonical_artifact(metric.artifact_key):
-                return event.data_id
-        return None
+
+def _check_metric_ids(goal_id: str, metrics: list[Metric]) -> None:
+    """A `metric-satisfied` record names its metric by id alone, so no two metrics of a goal may share one."""
+    ids = [metric.metric_id for metric in metrics]
+    if len(set(ids)) != len(ids):
+        raise DuplicateMetricError(f"goal {goal_id} has two metrics of one id: {ids}")
 
 
 def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Optional[int] = None) -> list[Goal]:

@@ -87,13 +87,13 @@ class NetworkEngine:
     # -- registry ---------------------------------------------------------
 
     def register_network(self, network_id: str) -> Network:
-        if not network_id:
-            raise ValueError("network_id must be non-empty")
+        if not network_id or "/" in network_id:
+            raise ValueError(f"network_id must be non-empty and hold no '/': {network_id!r}")
         return self.networks.setdefault(network_id, Network(network_id))
 
     def register_actor(self, network_id: str, actor_id: str) -> Address:
-        if not actor_id:
-            raise ValueError("actor_id must be non-empty")
+        if not actor_id or "/" in actor_id:
+            raise ValueError(f"actor_id must be non-empty and hold no '/': {actor_id!r}")
         self._network(network_id).actors.add(actor_id)
         return Address(network_id, actor_id)
 

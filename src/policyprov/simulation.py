@@ -8,6 +8,7 @@ byte-identical event log.
 
 from __future__ import annotations
 
+import inspect
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from typing import Optional, Union
 from .errors import RunawayScenarioError, ScenarioError, UnknownPolicyError
 from .goals import GoalDisplaySnapshot, Metric, MetricKind, fold_goal_state
 from .model import Address, ArtifactNature, CommunicationPattern, RoutedToken, TokenKind
+from .network import NetworkEngine
 from .system import PolicySystem
 
 
@@ -59,10 +61,6 @@ class Scenario:
     seed: int = 0
     expected: dict = field(default_factory=dict)
 
-    @property
-    def addresses(self) -> set[str]:
-        return {f"{net}/{actor}" for net, actors in self.networks.items() for actor in actors}
-
 
 @dataclass
 class RunTrace:
@@ -70,7 +68,6 @@ class RunTrace:
 
     log: object
     offsets: list[int]
-    network_message_counts: dict[str, int]
     goal_snapshots: dict[str, dict]
     receipt_summary: dict[str, int]
     log_hash: str
@@ -90,12 +87,16 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
     networks: dict[str, list[str]] = {}
     for net in raw.get("networks", []):
-        actors = net.get("actors", [])
+        network_id, actors = net.get("id"), net.get("actors", [])
+        # An address is "network/actor", so neither id may hold a "/".
+        for text in (network_id, *actors):
+            if not isinstance(text, str) or not text or "/" in text:
+                raise ScenarioError(f"network {network_id!r}: {text!r} is not a non-empty id without '/'")
         if len(set(actors)) != len(actors):
-            raise ScenarioError(f"duplicate actor ids in network {net['id']}")
-        if net["id"] in networks:
-            raise ScenarioError(f"duplicate network id {net['id']}")
-        networks[net["id"]] = list(actors)
+            raise ScenarioError(f"duplicate actor ids in network {network_id}")
+        if network_id in networks:
+            raise ScenarioError(f"duplicate network id {network_id}")
+        networks[network_id] = list(actors)
 
     phases = tuple(raw.get("phases", ("agenda-setting", "analysis")))
     declared = {f"{n}/{a}" for n, actors in networks.items() for a in actors}
@@ -111,18 +112,25 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
     goal_defs = {}
     for ref, spec in raw.get("goals", {}).items():
-        if "goal_id" not in spec:
-            raise ScenarioError(f"goal {ref} has no goal_id")
-        if spec["phase"] not in phases:
-            raise ScenarioError(f"goal {ref} uses unknown phase {spec['phase']}")
+        for key in ("goal_id", "name"):
+            if key not in spec:
+                raise ScenarioError(f"goal {ref} has no {key}")
+        if spec.get("phase") not in phases:
+            raise ScenarioError(f"goal {ref} uses unknown phase {spec.get('phase')}")
         for metric in spec.get("metrics", []):
-            if metric["kind"] == "approval":
-                resolve(metric["approver"], f"goal {ref}")
+            kind = metric.get("kind")
+            if kind == "approval":
+                resolve(metric.get("approver"), f"goal {ref}")
+            elif kind != "artifact-delivery" or not metric.get("artifact"):
+                raise ScenarioError(f"goal {ref}: metric {metric} is neither an approval nor an artifact delivery")
+        metric_ids = [metric["metric_id"] for metric in spec.get("metrics", []) if "metric_id" in metric]
+        if len(set(metric_ids)) != len(metric_ids):
+            raise ScenarioError(f"goal {ref} has two metrics of one id: {metric_ids}")
         goal_defs[ref] = spec
 
     rules: list[Rule] = []
     for behavior in raw.get("behaviors", []):
-        actor = resolve(behavior["actor"], "behaviors")
+        actor = resolve(behavior.get("actor"), "behaviors")
         for rule_raw in behavior.get("rules", []):
             trigger = rule_raw.get("trigger", {})
             if "on_receive" not in trigger and "at_time" not in trigger:
@@ -135,10 +143,10 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             if "from" in trigger.get("on_receive", {}):
                 resolve(trigger["on_receive"]["from"], f"rule for {actor}")
             for action in rule_raw.get("actions", []):
-                if action["do"] == "send_token":
-                    resolve(action["to"], f"rule for {actor}")
-                elif action["do"] == "define_goal" and action["goal"] not in goal_defs:
-                    raise ScenarioError(f"rule for {actor} references unknown goal {action['goal']}")
+                if action.get("do") == "send_token":
+                    resolve(action.get("to"), f"rule for {actor}")
+                elif action.get("do") == "define_goal" and action.get("goal") not in goal_defs:
+                    raise ScenarioError(f"rule for {actor} references unknown goal {action.get('goal')}")
             rules.append(
                 Rule(actor, trigger, list(rule_raw.get("actions", [])), rule_raw.get("once", True), len(rules))
             )
@@ -261,9 +269,9 @@ class _Runner:
             if policy_id not in system.policies:
                 raise UnknownPolicyError(policy_id)
         else:
-            policy_id = _first_policy(system)
+            policy_id = next(iter(system.policies), None)  # the first policy created
         for action in rule.actions:
-            do = action["do"]
+            do = action.get("do")
             if do == "submit_policy":
                 record = system.put_data(
                     action.get("payload", "").encode("utf-8"), rule.actor, action.get("media_hint", "")
@@ -285,48 +293,34 @@ class _Runner:
                     goal_id=spec["goal_id"],
                 )
             elif do == "local_token":
-                system.create_local_token(
-                    rule.actor,
-                    policy_id,
-                    task=action["task"],
-                    task_input=action.get("task_input", ""),
-                    task_output=action.get("task_output", ""),
-                    task_description=action.get("task_description", action["task"]),
-                    nature_of_task_input=ArtifactNature(action.get("nature_of_task_input", "document")),
-                    nature_of_task_output=ArtifactNature(action.get("nature_of_task_output", "document")),
-                    data_details=action.get("data_details", ""),
-                    source_of_evidence=action.get("source_of_evidence", ""),
-                    data_reference=action.get("data_reference"),
-                    goal_id=action.get("goal_id"),
-                    phase_id=action.get("phase_id"),
-                )
+                task = action.get("task", "")  # a missing task fails the engine's token validation
+                defaults = {"task": task, "task_input": "", "task_output": "", "task_description": task}
+                system.create_local_token(rule.actor, policy_id, **defaults | _token_fields(action, _LOCAL_KEYS))
             elif do == "send_token":
-                system.send_token(
-                    rule.actor,
-                    policy_id,
-                    destination=Address.parse(action["to"]),
-                    kind=TokenKind(action.get("kind", "task-handoff")),
-                    previous_task=action.get("previous_task", ""),
-                    previous_task_output=action.get("previous_task_output", ""),
-                    nature_of_task_output=ArtifactNature(action.get("nature_of_task_output", "document")),
-                    task_description=action.get("task_description", ""),
-                    required_action=action.get("required_action"),
-                    communication_pattern=CommunicationPattern(
-                        action.get("communication_pattern", "sequential")
-                    ),
-                    data_details=action.get("data_details", ""),
-                    source_of_evidence=action.get("source_of_evidence", ""),
-                    goal_id=action.get("goal_id"),
-                    phase_id=action.get("phase_id"),
-                )
+                destination = Address.parse(action["to"])
+                system.send_token(rule.actor, policy_id, destination, **_token_fields(action, _SEND_KEYS))
             elif do == "decide":
-                system.decide_continuation(policy_id, action["decision"], by=rule.actor)
+                system.decide_continuation(policy_id, action.get("decision"), by=rule.actor)
             else:
                 raise ScenarioError(f"unknown action {do!r}")
 
 
-def _first_policy(system: PolicySystem) -> Optional[str]:
-    return next(iter(system.policies), None)
+# The token fields a scenario action may set: the engine methods' own keyword
+# arguments, those that hold an enum given as the value's string.
+_LOCAL_KEYS, _SEND_KEYS = (
+    frozenset(inspect.signature(method).parameters) - {"self", "actor", "policy_id", "destination"}
+    for method in (NetworkEngine.create_local_token, NetworkEngine.send_token)
+)
+_ENUMS = {"kind": TokenKind, "communication_pattern": CommunicationPattern,
+          "nature_of_task_input": ArtifactNature, "nature_of_task_output": ArtifactNature}
+
+
+def _token_fields(action: dict, keys: frozenset[str]) -> dict:
+    """The action's keys that `keys` names, enum values converted; other keys are ignored."""
+    try:
+        return {key: _ENUMS[key](value) if key in _ENUMS else value for key, value in action.items() if key in keys}
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def run(
@@ -369,13 +363,7 @@ def build_system(
 
 def trace_of(system: PolicySystem) -> RunTrace:
     log = system.log
-    message_counts: Counter = Counter()
-    receipt_summary: Counter = Counter()
-    for rec in log:
-        if rec.event_kind == "routed-token-send":
-            message_counts[rec.body["source_address"].partition("/")[0]] += 1
-        elif rec.event_kind == "receipt":
-            receipt_summary[rec.body["outcome"]] += 1
+    receipt_summary = Counter(rec.body["outcome"] for rec in log if rec.event_kind == "receipt")
     goals_by_policy: dict[str, list] = {}
     for goal in fold_goal_state(log):
         goals_by_policy.setdefault(goal.policy_id, []).append(goal)
@@ -388,7 +376,6 @@ def trace_of(system: PolicySystem) -> RunTrace:
     return RunTrace(
         log=log,
         offsets=[rec.offset for rec in log],
-        network_message_counts=dict(message_counts),
         goal_snapshots=snapshots,
         receipt_summary=dict(receipt_summary),
         log_hash=log.content_hash(),

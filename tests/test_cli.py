@@ -25,6 +25,61 @@ def time_rule_before_any_policy() -> dict:
     return raw
 
 
+def pattern_sequential(edit=None, rename=()) -> dict:
+    """The `pattern_sequential` fixture with each (old, new) text replacement and then `edit` applied."""
+    text = fixture_path("pattern_sequential").read_text()
+    for old, new in rename:
+        text = text.replace(old, new)
+    raw = json.loads(text)
+    if edit is not None:
+        edit(raw)
+    return raw
+
+
+def alpha_actions(raw) -> list:
+    """The actions of alpha's second rule: a local token, then a send to beta."""
+    return raw["behaviors"][0]["rules"][1]["actions"]
+
+
+# Each case: the scenario, and how the one stderr line starts.
+MALFORMED = {
+    "action-without-do": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[0].pop("do")),
+        "run failed: scenario-error: unknown action None"),
+    "send-without-to": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[1].pop("to")),
+        "scenario error: unresolved address None"),
+    "local-token-without-task": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[0].pop("task")),
+        "run failed: invalid-token: invalid token fields: task"),
+    "bogus-token-kind": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[1].update(kind="bogus")),
+        "run failed: scenario-error: 'bogus' is not a valid TokenKind"),
+    "decision-maybe": (
+        pattern_sequential(
+            lambda raw: raw["behaviors"][1]["rules"][0]["actions"].append({"do": "decide", "decision": "maybe"})),
+        "run failed: unknown-decision: 'maybe'"),
+    "unknown-metric-kind": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"]["metrics"][0].update(kind="vote")),
+        "scenario error: goal probe: metric "),
+    "empty-actor-id": (
+        pattern_sequential(lambda raw: raw["networks"][0]["actors"].append("")),
+        "scenario error: network 'net': '' is not"),
+    "network-id-with-slash": (
+        pattern_sequential(rename=[('"net"', '"n/et"'), ('"net/', '"n/et/')]),
+        "scenario error: network 'n/et': 'n/et' is not"),
+    "actor-id-with-slash": (
+        pattern_sequential(rename=[("alpha", "al/pha")]),
+        "scenario error: network 'net': 'al/pha' is not"),
+    "duplicate-metric-id": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"].update(metrics=[
+            {"metric_id": "m1", "kind": "artifact-delivery", "artifact": "report"},
+            {"metric_id": "m1", "kind": "artifact-delivery", "artifact": "annex"},
+        ])),
+        "scenario error: goal probe has two metrics of one id"),
+}
+
+
 @pytest.fixture()
 def run_dir(tmp_path):
     out = tmp_path / "out"
@@ -78,6 +133,15 @@ class TestRun:
         assert main(["run", str(scenario), "-o", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"run failed: {code}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys, raw, message):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        assert main(["run", str(scenario), "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
         assert err.count("\n") == 1
 
     def test_runaway_exits_3(self, tmp_path):

@@ -1,17 +1,32 @@
 """Goal definition, modification, metric matching, and snapshots."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policyprov import Metric, MetricKind, TokenKind, load_scenario
+from policyprov import (
+    ArtifactNature,
+    CommunicationPattern,
+    DataRecord,
+    LocalToken,
+    Metric,
+    MetricKind,
+    RoutedToken,
+    StakeholderNature,
+    TokenKind,
+    load_scenario,
+)
 from policyprov.errors import (
     AlreadyTerminatedError,
     DuplicateGoalError,
+    DuplicateMetricError,
     EmptyMetricsError,
     LastMetricError,
     NotOwnerError,
     TerminatedPolicyError,
+    UnknownDecisionError,
     UnknownGoalError,
     UnknownPhaseError,
     UnknownPolicyError,
@@ -271,6 +286,99 @@ class TestMetricMatching:
         assert not system.log.scan(event_kind="metric-satisfied", goal_id="g-x")
 
 
+# Events as evaluate_event receives them, for pol-1; each case replaces a few fields.
+LOCAL = LocalToken(
+    token_id="t-local", policy_id="pol-1", phase_id="agenda-setting", goal_id="g-a", seq_num=1,
+    task="write", task_input="notes", nature_of_task_input=ArtifactNature.DOCUMENT, task_output="",
+    nature_of_task_output=ArtifactNature.DOCUMENT, task_description="write", who_carried_out=SNT,
+    nature_of_stakeholders=StakeholderNature.INTERNAL, data_details="notes", source_of_evidence="notes",
+    timestamp=100,
+)
+ROUTED = RoutedToken(
+    token_id="t-routed", policy_id="pol-1", phase_id="agenda-setting", goal_id="g-a", seq_num=1,
+    previous_task="review", previous_task_output="", nature_of_task_output=ArtifactNature.DOCUMENT,
+    task_description="hand over", communication_pattern=CommunicationPattern.SEQUENTIAL,
+    nature_of_stakeholders=StakeholderNature.INTERNAL, data_details="review", source_of_evidence="review",
+    communication_with=SNT, timestamp=100, source_address=BCU, destination_address=SNT,
+    kind=TokenKind.TASK_HANDOFF,
+)
+DATA = DataRecord(data_id="d-1", payload=b"...", media_hint="", created_by=SNT, timestamp=100)
+REPORT = Metric("m", MetricKind.ARTIFACT_DELIVERY, artifact_key=" Final  Report ")
+BY_BCU = Metric("m", MetricKind.APPROVAL, approver=BCU)
+RESPONSE = replace(ROUTED, kind=TokenKind.APPROVAL_RESPONSE, previous_task_output="approved")
+
+
+@pytest.mark.parametrize("event, metric, satisfied_by", [
+    (replace(LOCAL, task_output="final report"), REPORT, "t-local"),
+    (replace(LOCAL, task_output="  FINAL\tReport\n"), REPORT, "t-local"),
+    (replace(LOCAL, task_output="final reports"), REPORT, None),
+    (replace(LOCAL, task_output="final report"), BY_BCU, None),
+    (replace(ROUTED, previous_task_output="Final report"), REPORT, "t-routed"),
+    (replace(ROUTED, previous_task_output="draft", task_description="final report"), REPORT, None),
+    (replace(DATA, media_hint="FINAL REPORT"), REPORT, "d-1"),
+    (replace(DATA, media_hint="draft"), REPORT, None),
+    (RESPONSE, BY_BCU, "t-routed"),
+    (replace(RESPONSE, goal_id=""), BY_BCU, "t-routed"),
+    (replace(RESPONSE, goal_id="g-b"), BY_BCU, None),
+    (replace(RESPONSE, source_address=NWT), BY_BCU, None),
+    (replace(RESPONSE, kind=TokenKind.APPROVAL_REQUEST), BY_BCU, None),
+    (replace(RESPONSE, kind=TokenKind.TASK_HANDOFF), BY_BCU, None),
+    (replace(RESPONSE, previous_task_output="final report"), REPORT, "t-routed"),
+], ids=[
+    "local-output", "local-output-case-and-whitespace", "local-other-output", "local-token-approves-nothing",
+    "routed-previous-output", "routed-description-is-no-artifact", "data-media-hint", "data-other-hint",
+    "approval-naming-its-goal", "approval-naming-no-goal", "approval-naming-another-goal",
+    "approval-from-non-approver", "approval-request-from-approver", "handoff-from-approver",
+    "approval-response-delivers-its-output",
+])
+def test_evaluate_event_matches_each_metric_by_one_rule(event, metric, satisfied_by):
+    """`g-a` holds the metric under test; `g-b`, a second goal of the same
+    policy, holds an approval by the same approver and an artifact metric."""
+    system = make_system()
+    policy = open_policy(system)
+    for goal_id, metrics in (("g-a", [metric]), ("g-b", [replace(BY_BCU, metric_id="b1"),
+                                                         replace(REPORT, metric_id="b2")])):
+        system.define_goal(policy.policy_id, "agenda-setting", goal_id, metrics, by=OWNER, goal_id=goal_id)
+    logged = len(system.log)
+    system.goals.evaluate_event(event)
+    satisfied = [(rec.body["goal_id"], rec.body["metric_id"], rec.body["satisfied_by"])
+                 for rec in system.log if rec.offset >= logged and rec.event_kind == "metric-satisfied"]
+    satisfied = [entry for entry in satisfied if entry[0] == "g-a"]
+    assert satisfied == ([("g-a", "m", satisfied_by)] if satisfied_by else [])
+
+
+class TestDuplicateMetricIds:
+    """A `metric-satisfied` record names its metric by id alone, so no goal holds two metrics of one id."""
+
+    def test_define_goal_rejects_two_metrics_of_one_id(self):
+        system = make_system()
+        policy = open_policy(system)
+        logged = len(system.log)
+        with pytest.raises(DuplicateMetricError):
+            system.define_goal(policy.policy_id, "agenda-setting", "two m1", [
+                Metric("m1", MetricKind.ARTIFACT_DELIVERY, artifact_key="report"),
+                Metric("m1", MetricKind.ARTIFACT_DELIVERY, artifact_key="annex"),
+            ], by=OWNER, goal_id="g-two")
+        assert len(system.log) == logged
+        assert system.goals.goals_for(policy.policy_id) == []
+
+    def test_replace_metric_rejects_another_metrics_id(self):
+        system = make_system()
+        policy = open_policy(system)
+        goal = system.define_goal(policy.policy_id, "agenda-setting", "g", [
+            Metric("m1", MetricKind.ARTIFACT_DELIVERY, artifact_key="report"),
+            Metric("m2", MetricKind.ARTIFACT_DELIVERY, artifact_key="annex"),
+        ], by=OWNER, goal_id="g-one")
+        before, logged = goal.to_record(), len(system.log)
+        with pytest.raises(DuplicateMetricError):
+            system.modify_goal(policy.policy_id, "g-one", {
+                "op": "replace-metric", "metric_id": "m2",
+                "metric": Metric("m1", MetricKind.ARTIFACT_DELIVERY, artifact_key="appendix"),
+            }, by=OWNER)
+        assert goal.to_record() == before
+        assert len(system.log) == logged
+
+
 class TestModifyGoal:
     def test_add_metric_reopens_satisfied_goal(self):
         system = make_system()
@@ -313,7 +421,8 @@ class TestModifyGoal:
         ({"op": "remove-metric", "metric_id": "m1"}, LastMetricError),
         ({"op": "add-metric", "metric": Metric("m2", MetricKind.APPROVAL, approver=BCU)}, NotOwnerError),
         ({"op": "retitle", "name": "x"}, ValueError),
-    ], ids=["last-metric", "not-owner", "unknown-op"])
+        ({"op": "add-metric", "metric": Metric("m1", MetricKind.APPROVAL, approver=BCU)}, DuplicateMetricError),
+    ], ids=["last-metric", "not-owner", "unknown-op", "duplicate-metric-id"])
     def test_rejected_change_leaves_goal_and_log_untouched(self, change, error):
         system = make_system()
         policy = open_policy(system)
@@ -374,6 +483,15 @@ class TestDecisions:
         policy = open_policy(system)
         with pytest.raises(NotOwnerError):
             system.decide_continuation(policy.policy_id, "terminate", by=SNT)
+
+    @pytest.mark.parametrize("decision", ["maybe", None])
+    def test_unknown_decision_rejected(self, decision):
+        system = make_system()
+        policy = open_policy(system)
+        logged = len(system.log)
+        with pytest.raises(UnknownDecisionError):
+            system.decide_continuation(policy.policy_id, decision, by=OWNER)
+        assert len(system.log) == logged
 
 
 @pytest.mark.parametrize("call", [

@@ -44,6 +44,17 @@ class TestRegistry:
         with pytest.raises(UnknownNetworkError):
             system.link_networks("local-council", "ghost")
 
+    @pytest.mark.parametrize("network_id, actor_id", [("", "a"), ("n/et", "a"), ("local-council", ""),
+                                                      ("local-council", "al/pha")])
+    def test_ids_must_be_non_empty_and_hold_no_slash(self, network_id, actor_id):
+        # An address is "network/actor" and parses at its first "/".
+        system = make_system()
+        with pytest.raises(ValueError):
+            system.register_network(network_id)
+            system.register_actor(network_id, actor_id)
+        assert "n/et" not in system.network.networks
+        assert "al/pha" not in system.network.networks["local-council"].actors
+
     def test_registration_is_idempotent(self):
         system = make_system()
         system.register_network("local-council")

@@ -172,6 +172,24 @@ class TestRunning:
         with pytest.raises(ScenarioError, match="unknown action"):
             run(load_scenario(raw))
 
+    def test_token_actions_pass_their_fields_to_the_engine(self):
+        raw = minimal_scenario()
+        raw["behaviors"][0]["rules"][1]["actions"] += [
+            {"do": "send_token", "to": "net/owner", "kind": "approval-request", "previous_task": "write",
+             "previous_task_output": "report", "task_description": "please approve",
+             "communication_pattern": "asynchronous", "required_action": "approve",
+             "data_reference": "d-annex", "colour": "red"},
+            {"do": "local_token", "task": "file", "task_input": "report", "task_output": "filed report",
+             "data_reference": "d-annex"},
+        ]
+        log = run(load_scenario(raw)).log
+        send = log.scan(event_kind="routed-token-send")[-1].body
+        assert (send["kind"], send["communication_pattern"], send["required_action"], send["data_reference"]) == (
+            "approval-request", "asynchronous", "approve", "d-annex")
+        assert "colour" not in send
+        local = log.scan(event_kind="local-token")[-1].body
+        assert (local["task_description"], local["data_reference"]) == ("file", "d-annex")  # the task by default
+
     def test_log_persisted_when_path_given(self, tmp_path):
         path = tmp_path / "events.jsonl"
         trace = run(load_scenario(minimal_scenario()), log_path=path)

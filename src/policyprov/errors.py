@@ -95,9 +95,15 @@ class UnknownDataIdError(PolicyProvError):
 
 
 class CorruptLogError(PolicyProvError):
-    """A log line is not a JSON object holding offset, event_kind, logical_time and body."""
+    """A log line is not a record in place, or a record's body is not what its kind says."""
 
     code = "corrupt-log"
+
+
+class TornLogError(CorruptLogError):
+    """The log's last line has no newline and is not JSON: the writer stopped mid-append."""
+
+    code = "torn-log"
 
 
 class ScenarioError(PolicyProvError):

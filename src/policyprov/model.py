@@ -7,9 +7,9 @@ snake_case keys; that flat form is the event-log record format.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Optional
+from typing import Optional, get_type_hints
 
 DEFAULT_PHASES = ("agenda-setting", "analysis")
 
@@ -122,14 +122,9 @@ class LocalToken:
         return rec
 
     @classmethod
-    def from_record(cls, rec: dict) -> "LocalToken":
-        _require_ints(rec)
-        rec = dict(rec)
-        rec["who_carried_out"] = Address.parse(rec["who_carried_out"])
-        rec["nature_of_task_input"] = ArtifactNature(rec["nature_of_task_input"])
-        rec["nature_of_task_output"] = ArtifactNature(rec["nature_of_task_output"])
-        rec["nature_of_stakeholders"] = StakeholderNature(rec["nature_of_stakeholders"])
-        return cls(**rec)
+    def from_record(cls, rec: dict, addresses: Optional[dict] = None) -> "LocalToken":
+        """The token a `to_record` dict describes; see `_decode` for `addresses` and the errors."""
+        return _decode(cls, rec, addresses)
 
 
 @dataclass(frozen=True)
@@ -164,16 +159,9 @@ class RoutedToken:
         return rec
 
     @classmethod
-    def from_record(cls, rec: dict) -> "RoutedToken":
-        _require_ints(rec)
-        rec = dict(rec)
-        for key in ("communication_with", "source_address", "destination_address"):
-            rec[key] = Address.parse(rec[key])
-        rec["nature_of_task_output"] = ArtifactNature(rec["nature_of_task_output"])
-        rec["nature_of_stakeholders"] = StakeholderNature(rec["nature_of_stakeholders"])
-        rec["communication_pattern"] = CommunicationPattern(rec["communication_pattern"])
-        rec["kind"] = TokenKind(rec["kind"])
-        return cls(**rec)
+    def from_record(cls, rec: dict, addresses: Optional[dict] = None) -> "RoutedToken":
+        """The token a `to_record` dict describes; see `_decode` for `addresses` and the errors."""
+        return _decode(cls, rec, addresses)
 
 
 @dataclass(frozen=True)
@@ -200,11 +188,78 @@ def content_hash(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _require_ints(rec: dict) -> None:
-    """`timestamp` orders a token and `seq_num` names its activity: each must be an int, not a bool."""
-    for key in ("timestamp", "seq_num"):
-        if type(rec[key]) is not int:
-            raise TypeError(f"{key} is not an integer: {rec[key]!r}")
+class _FieldTable:
+    """How a token class decodes its flat record, read once from its dataclass fields."""
+
+    def __init__(self, cls):
+        hints = get_type_hints(cls)
+        # Field order, each optional field at its default; `to_record` and
+        # `vars()` keep this order.
+        self.defaults = {f.name: f.default for f in fields(cls)}
+        names = list(self.defaults)
+        self.required = frozenset(n for n, default in self.defaults.items() if default is MISSING)
+        self.text = tuple(n for n in names if hints[n] is str)
+        self.optional_text = tuple(n for n in names if hints[n] == Optional[str])
+        # `timestamp` orders a token and `seq_num` names its activity.
+        self.ints = tuple(n for n in names if hints[n] is int)
+        self.addresses = tuple(n for n in names if hints[n] is Address)
+        self.enums = tuple(
+            (n, hints[n], {member.value: member for member in hints[n]})
+            for n in names if isinstance(hints[n], type) and issubclass(hints[n], Enum)
+        )
+        covered = {*self.text, *self.optional_text, *self.ints, *self.addresses, *(n for n, _, _ in self.enums)}
+        if covered != set(names):
+            raise TypeError(f"{cls.__name__} fields of no known type: {sorted(set(names) - covered)}")
+
+
+def _decode(cls, rec: dict, addresses: Optional[dict]):
+    """Decode `rec` as a `cls` token. `addresses` maps each address text seen
+    so far to its `Address`, and is added to; a caller decoding many records
+    passes one dict so that each distinct text is parsed once.
+
+    Raises `ValueError` for a missing or extra field, a bad enum value or a bad
+    address, and `TypeError` for a field of the wrong JSON type: an int field
+    holding anything but an int (a bool included), a text field anything but
+    a string, an optional text field anything but a string or null.
+    """
+    table = _TABLES[cls]
+    values = dict(table.defaults)
+    values.update(rec)
+    # required <= keys <= fields. The update added no key exactly when
+    # keys <= fields; a record that then has every field, as `to_record`
+    # writes it, needs no set comparison.
+    if len(values) != len(table.defaults) or (len(rec) != len(values) and not table.required <= rec.keys()):
+        missing, unknown = sorted(table.required - rec.keys()), sorted(rec.keys() - table.defaults.keys())
+        raise ValueError(f"missing fields {missing}, unknown fields {unknown}")
+    for name in table.ints:
+        if type(values[name]) is not int:
+            raise TypeError(f"{name} is not an integer: {values[name]!r}")
+    for name in table.text:
+        if type(values[name]) is not str:
+            raise TypeError(f"{name} is not text: {values[name]!r}")
+    for name in table.optional_text:
+        if values[name] is not None and type(values[name]) is not str:
+            raise TypeError(f"{name} is neither text nor null: {values[name]!r}")
+    for name, enum_cls, members in table.enums:
+        member = members.get(values[name])
+        if member is None:
+            raise ValueError(f"{values[name]!r} is not a valid {enum_cls.__name__}")
+        values[name] = member
+    if addresses is None:
+        addresses = {}
+    for name in table.addresses:
+        text = values[name]
+        address = addresses.get(text)
+        if address is None:
+            if type(text) is not str:
+                raise TypeError(f"{name} is not text: {text!r}")
+            address = addresses[text] = Address.parse(text)
+        values[name] = address
+    # The checks above are `__init__`'s whole job (neither class has a
+    # `__post_init__`), so the instance takes `values` as its attributes.
+    token = object.__new__(cls)
+    object.__setattr__(token, "__dict__", values)
+    return token
 
 
 def _flatten(obj) -> dict:
@@ -215,6 +270,9 @@ def _flatten(obj) -> dict:
         if isinstance(value, Enum):
             rec[name] = value.value
     return rec
+
+
+_TABLES = {cls: _FieldTable(cls) for cls in (LocalToken, RoutedToken)}
 
 
 @dataclass
@@ -237,11 +295,24 @@ _LOCAL_MANDATORY = (
 )
 
 
+def _not_text(token, table: _FieldTable) -> list:
+    """The token's text fields that hold no string, and its optional ones that hold neither a string nor None."""
+    values = vars(token)
+    violations = []
+    for name in table.text:
+        if not isinstance(values[name], str):
+            violations.append(name)
+    for name in table.optional_text:
+        if values[name] is not None and not isinstance(values[name], str):
+            violations.append(name)
+    return violations
+
+
 def validate_local_token(token: LocalToken) -> TokenValidation:
     """Check the local-token template invariants; never raises."""
-    violations = []
+    violations = _not_text(token, _TABLES[LocalToken])
     for name in _LOCAL_MANDATORY:
-        if not getattr(token, name):
+        if not getattr(token, name) and name not in violations:
             violations.append(name)
     if token.seq_num < 1:
         violations.append("seq_num")
@@ -263,13 +334,13 @@ _ROUTED_TASK_MANDATORY = (
 
 def validate_routed_token(token: RoutedToken) -> TokenValidation:
     """Check the routed-token template invariants; never raises."""
-    violations = []
+    violations = _not_text(token, _TABLES[RoutedToken])
     for name in _ROUTED_MANDATORY:
-        if not getattr(token, name):
+        if not getattr(token, name) and name not in violations:
             violations.append(name)
     if token.kind is not TokenKind.NOTIFICATION:
         for name in _ROUTED_TASK_MANDATORY:
-            if not getattr(token, name):
+            if not getattr(token, name) and name not in violations:
                 violations.append(name)
     if token.seq_num < 1:
         violations.append("seq_num")

@@ -133,22 +133,35 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         actor = resolve(behavior.get("actor"), "behaviors")
         for rule_raw in behavior.get("rules", []):
             trigger = rule_raw.get("trigger", {})
-            if "on_receive" not in trigger and "at_time" not in trigger:
+            if not isinstance(trigger, dict) or ("on_receive" not in trigger and "at_time" not in trigger):
                 raise ScenarioError(f"rule for {actor} has no trigger")
+            if "at_time" in trigger and type(trigger["at_time"]) is not int:
+                raise ScenarioError(f"rule for {actor}: at_time {trigger['at_time']!r} is not an integer")
+            on_receive = trigger.get("on_receive", {})
+            if not isinstance(on_receive, dict):
+                raise ScenarioError(f"rule for {actor}: on_receive {on_receive!r} is not an object")
+            for value in on_receive.values():
+                if not isinstance(value, str):
+                    raise ScenarioError(f"rule for {actor}: on_receive value {value!r} is not a string")
+            actions = rule_raw.get("actions", [])
+            if not isinstance(actions, list):
+                raise ScenarioError(f"rule for {actor}: actions {actions!r} is not a list")
             if "policy" in trigger:
                 if "at_time" not in trigger:
                     raise ScenarioError(f"rule for {actor} names a policy without an at_time trigger")
                 if not isinstance(trigger["policy"], str) or not trigger["policy"]:
                     raise ScenarioError(f"rule for {actor} names policy {trigger['policy']!r}, not a policy id")
-            if "from" in trigger.get("on_receive", {}):
-                resolve(trigger["on_receive"]["from"], f"rule for {actor}")
-            for action in rule_raw.get("actions", []):
+            if "from" in on_receive:
+                resolve(on_receive["from"], f"rule for {actor}")
+            for action in actions:
+                if not isinstance(action, dict):
+                    raise ScenarioError(f"rule for {actor}: action {action!r} is not an object")
                 if action.get("do") == "send_token":
                     resolve(action.get("to"), f"rule for {actor}")
                 elif action.get("do") == "define_goal" and action.get("goal") not in goal_defs:
                     raise ScenarioError(f"rule for {actor} references unknown goal {action.get('goal')}")
             rules.append(
-                Rule(actor, trigger, list(rule_raw.get("actions", [])), rule_raw.get("once", True), len(rules))
+                Rule(actor, trigger, list(actions), rule_raw.get("once", True), len(rules))
             )
 
     links = []

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from .errors import CorruptLogError, UnknownDataIdError
+from .errors import CorruptLogError, TornLogError, UnknownDataIdError
 from .model import Address, DataRecord, content_hash, names_actor
 
 EVENT_KINDS = (
@@ -164,25 +165,49 @@ class EventLog:
 
     @classmethod
     def load(cls, path) -> "EventLog":
-        """Read a JSON Lines log; a line that is not a record raises `CorruptLogError`."""
+        """Read a JSON Lines log. A line that is not a record raises
+        `CorruptLogError` naming it, and so does a record whose offset is not
+        its index, whose logical time is not an int or is before the previous
+        record's, or whose `policy_id` is there and not text. A last line with
+        no newline that is not JSON raises `TornLogError`: the writer stopped
+        mid-append."""
         log = cls()
+        records = log._records
+        last_time = -math.inf
         with Path(path).open("rb") as fh:
             for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+                text = line.strip()
+                if not text:
                     continue
                 try:
-                    raw = json.loads(line.decode("utf-8"))
-                    record = EventRecord(raw["offset"], raw["event_kind"], raw["logical_time"], raw["body"])
-                except (ValueError, KeyError, TypeError):  # not UTF-8 JSON, a key missing, not an object
+                    raw = json.loads(text.decode("utf-8"))
+                except ValueError:  # not UTF-8, or not JSON
+                    if not line.endswith(b"\n"):
+                        raise TornLogError(f"line {number}: torn last line, cut off before its newline") from None
+                    raise CorruptLogError(f"line {number}: not UTF-8 JSON") from None
+                try:
+                    offset, event_kind, logical_time, body = (
+                        raw["offset"], raw["event_kind"], raw["logical_time"], raw["body"]
+                    )
+                except (KeyError, TypeError):  # a key missing, not an object
                     raise CorruptLogError(
                         f"line {number}: not a JSON object with offset, event_kind, logical_time and body"
                     ) from None
-                if not isinstance(record.body, dict):
+                if not isinstance(body, dict):
                     raise CorruptLogError(f"line {number}: body is not a JSON object")
-                if record.event_kind not in EVENT_KINDS:
-                    raise CorruptLogError(f"line {number}: unknown event kind {record.event_kind!r}")
-                log._records.append(record)
+                if event_kind not in EVENT_KINDS:
+                    raise CorruptLogError(f"line {number}: unknown event kind {event_kind!r}")
+                if offset != len(records) or type(offset) is not int:
+                    raise CorruptLogError(f"line {number}: offset {offset!r} is not {len(records)}")
+                if type(logical_time) is not int:
+                    raise CorruptLogError(f"line {number}: logical_time {logical_time!r} is not an integer")
+                if logical_time < last_time:
+                    raise CorruptLogError(f"line {number}: logical_time {logical_time} is before {last_time}")
+                # Every reader groups records by policy_id, so it must be text.
+                if type(body.get("policy_id", "")) is not str:
+                    raise CorruptLogError(f"line {number}: policy_id {body['policy_id']!r} is not text")
+                last_time = logical_time
+                records.append(EventRecord(offset, event_kind, logical_time, body))
         return log
 
 

@@ -127,18 +127,19 @@ def _last_at(entry, at: int) -> Optional[LocalToken]:
 def views_of(log: EventLog, policy_ids) -> dict:
     """One view per policy, from a single pass over the log."""
     found = {pid: ([], [], {}) for pid in policy_ids}
+    addresses: dict = {}  # each distinct address text of this call, parsed once
     for rec in log:
         parts = found.get(rec.body.get("policy_id"))
         if parts is None:
             continue
         try:
             if rec.event_kind == "local-token":
-                parts[0].append(LocalToken.from_record(rec.body))
+                parts[0].append(LocalToken.from_record(rec.body, addresses))
             elif rec.event_kind == "routed-token-send":
-                parts[1].append(RoutedToken.from_record(rec.body))
+                parts[1].append(RoutedToken.from_record(rec.body, addresses))
             elif rec.event_kind == "routed-token-receive":
                 parts[2][rec.body["token_id"]] = rec.logical_time
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:  # a field missing, extra or of a bad value
+        except (KeyError, TypeError, ValueError) as exc:  # a field missing, extra or of a bad type or value
             raise CorruptLogError(f"offset {rec.offset}: {rec.event_kind} body is not a token: {exc!r}") from None
     for pid, parts in found.items():
         if not any(parts) and all(rec.body.get("policy_id") != pid for rec in log):

@@ -77,6 +77,30 @@ MALFORMED = {
             {"metric_id": "m1", "kind": "artifact-delivery", "artifact": "annex"},
         ])),
         "scenario error: goal probe has two metrics of one id"),
+    "at-time-text": (
+        pattern_sequential(lambda raw: raw["behaviors"][0]["rules"][0]["trigger"].update(at_time="1")),
+        "scenario error: rule for net/alpha: at_time '1' is not an integer"),
+    "at-time-bool": (
+        pattern_sequential(lambda raw: raw["behaviors"][0]["rules"][0]["trigger"].update(at_time=True)),
+        "scenario error: rule for net/alpha: at_time True is not an integer"),
+    "on-receive-text": (
+        pattern_sequential(lambda raw: raw["behaviors"][1]["rules"][0]["trigger"].update(on_receive="notification")),
+        "scenario error: rule for net/owner: on_receive 'notification' is not an object"),
+    "on-receive-value-not-text": (
+        pattern_sequential(lambda raw: raw["behaviors"][1]["rules"][0]["trigger"]["on_receive"].update(kind=None)),
+        "scenario error: rule for net/owner: on_receive value None is not a string"),
+    "actions-text": (
+        pattern_sequential(lambda raw: raw["behaviors"][0]["rules"][1].update(actions="x")),
+        "scenario error: rule for net/alpha: actions 'x' is not a list"),
+    "action-text": (
+        pattern_sequential(lambda raw: alpha_actions(raw).append("x")),
+        "scenario error: rule for net/alpha: action 'x' is not an object"),
+    "task-not-text": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[0].update(task=5)),
+        "run failed: invalid-token: invalid token fields: task"),
+    "required-action-not-text": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[1].update(required_action=["review"])),
+        "run failed: invalid-token: invalid token fields: required_action"),
 }
 
 
@@ -188,6 +212,18 @@ def test_corrupt_log_exits_2(tmp_path, monkeypatch, capsys, command, bad):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_torn_last_line_exits_2(run_dir, tmp_path, capsys):
+    lines = (run_dir / "events.jsonl").read_bytes().splitlines(keepends=True)
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    message = f"cannot read log: line {len(lines)}: torn last line, cut off before its newline\n"
+    for command in (["query"], ["export", "--prov", "-o", str(tmp_path / "x")],
+                    ["export", "--graph", "-o", str(tmp_path / "x")]):
+        assert main([command[0], str(torn), *command[1:]]) == 2
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "x").exists()
+
+
 LATE_LOCAL_TOKEN = {
     "token_id": "t-1", "policy_id": "pol-1", "phase_id": "agenda-setting", "goal_id": "g-1", "seq_num": 1,
     "task": "write", "task_input": "notes", "nature_of_task_input": "document", "task_output": "report",
@@ -198,8 +234,9 @@ LATE_LOCAL_TOKEN = {
 
 
 @pytest.mark.parametrize("kind", ["--prov", "--graph"])
-@pytest.mark.parametrize("body", [{"policy_id": "pol-1"}, LATE_LOCAL_TOKEN],
-                         ids=["missing-fields", "timestamp-not-int"])
+@pytest.mark.parametrize("body", [{"policy_id": "pol-1"}, LATE_LOCAL_TOKEN,
+                                  LATE_LOCAL_TOKEN | {"timestamp": 1, "task": 5}],
+                         ids=["missing-fields", "timestamp-not-int", "text-field-not-text"])
 def test_token_record_that_does_not_decode_exits_2(tmp_path, capsys, kind, body):
     log = tmp_path / "events.jsonl"
     log.write_text(json.dumps({"offset": 0, "event_kind": "local-token", "logical_time": 1, "body": body}) + "\n")

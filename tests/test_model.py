@@ -174,6 +174,15 @@ class TestLocalValidation:
         result = validate_local_token(make_local(seq_num=0))
         assert "seq_num" in result.violations
 
+    @pytest.mark.parametrize("name, value", [
+        ("task", 5), ("task_input", None), ("token_id", 0), ("source_of_evidence", b"notes"), ("data_reference", 7),
+    ])
+    def test_text_fields_must_be_text(self, name, value):
+        assert validate_local_token(make_local(**{name: value})).violations == [name]
+
+    def test_optional_text_field_may_be_none(self):
+        assert validate_local_token(make_local(data_reference=None)).ok
+
 
 class TestRoutedValidation:
     def test_complete_token_is_valid(self):
@@ -201,6 +210,14 @@ class TestRoutedValidation:
             source_of_evidence="",
         )
         assert validate_routed_token(token).ok
+
+    @pytest.mark.parametrize("kind", [TokenKind.TASK_HANDOFF, TokenKind.NOTIFICATION])
+    @pytest.mark.parametrize("name, value", [
+        ("previous_task", 5), ("goal_id", None), ("task_description", ["review"]), ("required_action", 1),
+        ("data_reference", False),
+    ])
+    def test_text_fields_must_be_text(self, kind, name, value):
+        assert validate_routed_token(make_routed(kind=kind, **{name: value})).violations == [name]
 
     def test_task_handoff_requires_task_slots(self):
         token = make_routed(previous_task="", previous_task_output="")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import policyprov
 from policyprov import Address, DataStore, EventLog, LogicalClock, fixture_path, load_scenario, run
-from policyprov.errors import CorruptLogError, UnknownDataIdError
+from policyprov.errors import CorruptLogError, TornLogError, UnknownDataIdError
 from policyprov.model import content_hash
 from policyprov.prov import build_prov
 from policyprov.reconstruct import reconstruct_process
@@ -91,9 +92,12 @@ class TestEventLog:
         ("local-token", lambda body: body | {"timestamp": "late"}),
         ("local-token", lambda body: body | {"timestamp": True}),
         ("local-token", lambda body: body | {"seq_num": "x"}),
+        ("local-token", lambda body: body | {"task": 5}),
+        ("routed-token-send", lambda body: body | {"required_action": ["review"]}),
+        ("routed-token-send", lambda body: body | {"kind": ["task-handoff"]}),
     ], ids=["missing-fields", "missing-address", "bad-enum", "bad-address", "address-not-text",
             "extra-field", "receive-without-token-id", "timestamp-not-int", "timestamp-bool",
-            "seq-num-not-int"])
+            "seq-num-not-int", "text-field-not-text", "optional-text-field-not-text", "enum-not-text"])
     def test_token_record_that_does_not_decode_raises_naming_its_offset(self, tmp_path, kind, spoil):
         path = tmp_path / "events.jsonl"
         run(load_scenario(fixture_path("pattern_sequential")), log_path=path)
@@ -105,6 +109,53 @@ class TestEventLog:
         for export in (build_prov, reconstruct_process):
             with pytest.raises(CorruptLogError, match=f"^offset {bad['offset']}: {kind} body "):
                 export(log, "pol-1")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.update(offset=5), "offset 5 is not 1"),
+        (lambda raw: raw.update(offset="1"), "offset '1' is not 1"),
+        (lambda raw: raw.update(offset=True), "offset True is not 1"),
+        (lambda raw: raw.update(logical_time=1.5), "logical_time 1.5 is not an integer"),
+        (lambda raw: raw.update(logical_time=None), "logical_time None is not an integer"),
+        (lambda raw: raw.update(logical_time=1), "logical_time 1 is before 2"),
+        (lambda raw: raw["body"].update(policy_id=["pol-1"]), "policy_id ['pol-1'] is not text"),
+        (lambda raw: raw["body"].update(policy_id=None), "policy_id None is not text"),
+    ], ids=["offset-skips", "offset-text", "offset-bool", "time-float", "time-null", "time-goes-back",
+            "policy-id-list", "policy-id-null"])
+    def test_record_out_of_place_raises_naming_the_line(self, tmp_path, edit, message):
+        log = EventLog()
+        log.append("decision", {"policy_id": "pol-1"}, 2)
+        log.append("decision", {"policy_id": "pol-1"}, 2)  # equal times are in order
+        raw = json.loads(log[1].to_json())
+        edit(raw)
+        path = tmp_path / "events.jsonl"
+        path.write_text(f"{log[0].to_json()}\n\n{json.dumps(raw)}\n")
+        with pytest.raises(CorruptLogError, match=f"^line 3: {re.escape(message)}$"):
+            EventLog.load(path)
+
+    @pytest.mark.parametrize("cut", [1, 20, -2])
+    def test_torn_last_line_raises_its_own_error(self, tmp_path, cut):
+        path = tmp_path / "events.jsonl"
+        run(load_scenario(fixture_path("pattern_sequential")), log_path=path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1]) + lines[-1][:cut])
+        with pytest.raises(TornLogError, match=f"^line {len(lines)}: torn last line"):
+            EventLog.load(path)
+
+    def test_last_line_without_newline_that_is_a_record_loads(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        run(load_scenario(fixture_path("pattern_sequential")), log_path=path)
+        whole = EventLog.load(path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert [rec.to_json() for rec in EventLog.load(path)] == [rec.to_json() for rec in whole]
+
+    def test_bad_line_before_the_last_is_not_torn(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        run(load_scenario(fixture_path("pattern_sequential")), log_path=path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0][:20] + b"\n" + b"".join(lines[1:]))
+        with pytest.raises(CorruptLogError, match="^line 1: not UTF-8 JSON$") as caught:
+            EventLog.load(path)
+        assert not isinstance(caught.value, TornLogError)
 
     def test_file_holds_the_records_json_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -17,7 +17,7 @@ from .errors import CorruptLogError, PolicyProvError, RunawayScenarioError, Scen
 from .prov import build_prov, export_prov_json
 from .reconstruct import reconstruct_process, to_dot
 from .simulation import load_scenario, run, trace_report
-from .storage import EventLog
+from .storage import EventLog, policy_ids
 
 
 def cmd_run(args) -> int:
@@ -66,7 +66,11 @@ def cmd_query(args) -> int:
     offset_range = None
     if args.offsets:
         lo, _, hi = args.offsets.partition(":")
-        offset_range = (int(lo), int(hi))
+        try:
+            offset_range = (int(lo), int(hi))
+        except ValueError:
+            print(f"bad --offsets {args.offsets!r}: not lo:hi, two integers", file=sys.stderr)
+            return 2
     records = log.scan(
         policy_id=args.policy,
         goal_id=args.goal,
@@ -80,18 +84,12 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _default_policy(log: EventLog):
-    policies = sorted({rec.body["policy_id"] for rec in log if "policy_id" in rec.body})
-    if len(policies) == 1:
-        return policies[0]
-    return None
-
-
 def cmd_export(args) -> int:
     log = _load_log(args.log)
     if log is None:
         return 2
-    policy_id = args.policy or _default_policy(log)
+    policies = policy_ids(log)
+    policy_id = args.policy or (policies[0] if len(policies) == 1 else None)
     if policy_id is None:
         print("log holds multiple policies; pass --policy", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from .errors import (
     UnknownPhaseError,
 )
 from .model import Address, DataRecord, LocalToken, PolicyRef, PolicyStatus, TokenKind
-from .storage import EventLog, LogicalClock
+from .storage import EventLog, LogicalClock, policy_ids
 
 
 class MetricKind(str, Enum):
@@ -132,28 +132,14 @@ class GoalDisplaySnapshot:
 
     @classmethod
     def of(cls, policy_id: str, goals: list[Goal], snapshot_time: int) -> "GoalDisplaySnapshot":
-        return cls(
-            policy_id,
-            [
-                {
-                    "goal_id": g.goal_id,
-                    "name": g.name,
-                    "phase_id": g.phase_id,
-                    "status": g.status.value,
-                    "version": g.version,
-                    "metrics": [
-                        {
-                            "metric_id": m.metric_id,
-                            "status": m.status.value,
-                            "satisfied_by": m.satisfied_by,
-                        }
-                        for m in g.metrics
-                    ],
-                }
-                for g in goals
-            ],
-            snapshot_time,
-        )
+        """Each goal's id, name, phase, status and version, and each of its metrics' id, status and satisfier."""
+        shown = []
+        for g in goals:
+            metrics = [{"metric_id": m.metric_id, "status": m.status.value, "satisfied_by": m.satisfied_by}
+                       for m in g.metrics]
+            shown.append({"goal_id": g.goal_id, "name": g.name, "phase_id": g.phase_id, "status": g.status.value,
+                          "version": g.version, "metrics": metrics})
+        return cls(policy_id, shown, snapshot_time)
 
     def to_record(self) -> dict:
         return {
@@ -383,3 +369,15 @@ def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Option
         if rec.event_kind in GOAL_KINDS and (policy_id is None or rec.body.get("policy_id") == policy_id):
             book.apply(rec.event_kind, rec.body)
     return list(book.goals.values())
+
+
+def goal_snapshots(log: EventLog, upto: Optional[int] = None) -> dict[str, GoalDisplaySnapshot]:
+    """A snapshot of each policy the log names, in first-appearance order: its
+    goals folded from the records up to offset `upto` (all when None), stamped
+    with the last folded record's time (0 when there is none)."""
+    goals: dict[str, list[Goal]] = {policy_id: [] for policy_id in policy_ids(log)}
+    for goal in fold_goal_state(log, upto=upto):
+        goals[goal.policy_id].append(goal)
+    last = len(log) - 1 if upto is None else min(upto, len(log) - 1)
+    time = log[last].logical_time if last >= 0 else 0
+    return {policy_id: GoalDisplaySnapshot.of(policy_id, found, time) for policy_id, found in goals.items()}

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import UnknownPhaseError
 from .model import CommunicationPattern, RoutedToken, TokenKind, names_actor
-from .storage import EventLog
+from .storage import EventLog, policy_ids
 from .view import PolicyView, activity_id_for, view_of, views_of
 
 EDGE_TYPES = {
@@ -203,7 +203,7 @@ def query(
 ) -> QueryResult:
     """Scan-and-filter over the log plus the induced subgraph of matches."""
     events = log.scan(policy_id=policy_id, goal_id=goal_id, phase_id=phase_id, actor=actor)
-    policies = sorted({rec.body["policy_id"] for rec in events if "policy_id" in rec.body})
+    policies = sorted(policy_ids(events))
 
     def keep(node: ProcessNode) -> bool:
         return (

@@ -17,9 +17,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import RunawayScenarioError, ScenarioError, UnknownPolicyError
-from .goals import GoalDisplaySnapshot, Metric, MetricKind, fold_goal_state
+from .goals import Metric, MetricKind, goal_snapshots
 from .model import Address, ArtifactNature, CommunicationPattern, RoutedToken, TokenKind
 from .network import NetworkEngine
+from .storage import EventLog
 from .system import PolicySystem
 
 
@@ -64,10 +65,10 @@ class Scenario:
 
 @dataclass
 class RunTrace:
-    """Summary of one run; everything here is derivable from the log alone."""
+    """Summary of one run, a fold of its log alone (`trace_of`), so one log always gives one summary."""
 
-    log: object
-    offsets: list[int]
+    log: EventLog
+    offsets: range
     goal_snapshots: dict[str, dict]
     receipt_summary: dict[str, int]
     log_hash: str
@@ -349,7 +350,7 @@ def run(
         _Runner(scenario, system, step_budget).run()
     finally:
         system.close()
-    return trace_of(system)
+    return trace_of(system.log)
 
 
 def build_system(
@@ -374,22 +375,12 @@ def build_system(
     return system
 
 
-def trace_of(system: PolicySystem) -> RunTrace:
-    log = system.log
+def trace_of(log: EventLog) -> RunTrace:
     receipt_summary = Counter(rec.body["outcome"] for rec in log if rec.event_kind == "receipt")
-    goals_by_policy: dict[str, list] = {}
-    for goal in fold_goal_state(log):
-        goals_by_policy.setdefault(goal.policy_id, []).append(goal)
-    snapshots = {
-        policy_id: GoalDisplaySnapshot.of(
-            policy_id, goals_by_policy.get(policy_id, []), system.clock.now
-        ).to_record()
-        for policy_id in system.policies
-    }
     return RunTrace(
         log=log,
-        offsets=[rec.offset for rec in log],
-        goal_snapshots=snapshots,
+        offsets=range(len(log)),
+        goal_snapshots={policy_id: snapshot.to_record() for policy_id, snapshot in goal_snapshots(log).items()},
         receipt_summary=dict(receipt_summary),
         log_hash=log.content_hash(),
     )

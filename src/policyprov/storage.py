@@ -76,6 +76,11 @@ class EventRecord:
         )
 
 
+def policy_ids(records) -> list[str]:
+    """The policy ids the records name, in first-appearance order."""
+    return list(dict.fromkeys(rec.body["policy_id"] for rec in records if "policy_id" in rec.body))
+
+
 def _actor_matches(body: dict, actor: str) -> bool:
     for key in _ADDRESS_FIELDS:
         value = body.get(key)

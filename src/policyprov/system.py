@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import UnknownPolicyError
-from .goals import GoalDisplaySnapshot, GoalEngine, fold_goal_state
+from .goals import GoalDisplaySnapshot, GoalEngine, goal_snapshots
 from .model import Address, DEFAULT_PHASES, PolicyRef
 from .network import NetworkEngine
 from .storage import DataStore, EventLog, LogicalClock
@@ -72,9 +72,11 @@ class PolicySystem:
         return self.goals.decide_continuation(self._policy(policy_id), decision, by)
 
     def goal_display_snapshot(self, policy_id, upto=None) -> GoalDisplaySnapshot:
-        """The policy's goals as folded from the log up to offset `upto`."""
-        self._policy(policy_id)
-        return GoalDisplaySnapshot.of(policy_id, fold_goal_state(self.log, policy_id, upto=upto), self.clock.now)
+        """The policy's goals as folded from the log up to offset `upto`; see `goal_snapshots`."""
+        try:
+            return goal_snapshots(self.log, upto)[policy_id]
+        except KeyError:
+            raise UnknownPolicyError(str(policy_id)) from None
 
     def close(self):
         self.log.close()

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import CorruptLogError, UnknownPolicyError
 from .model import Address, LocalToken, RoutedToken, TokenKind
-from .storage import EventLog
+from .storage import EventLog, policy_ids
 
 
 def activity_id_for(token: LocalToken) -> str:
@@ -124,14 +124,16 @@ def _last_at(entry, at: int) -> Optional[LocalToken]:
     return tokens[i - 1] if i else None
 
 
-def views_of(log: EventLog, policy_ids) -> dict:
-    """One view per policy, from a single pass over the log."""
-    found = {pid: ([], [], {}) for pid in policy_ids}
+def views_of(log: EventLog, wanted) -> dict:
+    """One view per wanted policy, from a single pass over the log."""
+    found = {pid: ([], [], {}) for pid in wanted}
+    kept = []  # the wanted policies' records
     addresses: dict = {}  # each distinct address text of this call, parsed once
     for rec in log:
         parts = found.get(rec.body.get("policy_id"))
         if parts is None:
             continue
+        kept.append(rec)
         try:
             if rec.event_kind == "local-token":
                 parts[0].append(LocalToken.from_record(rec.body, addresses))
@@ -141,8 +143,9 @@ def views_of(log: EventLog, policy_ids) -> dict:
                 parts[2][rec.body["token_id"]] = rec.logical_time
         except (KeyError, TypeError, ValueError) as exc:  # a field missing, extra or of a bad type or value
             raise CorruptLogError(f"offset {rec.offset}: {rec.event_kind} body is not a token: {exc!r}") from None
-    for pid, parts in found.items():
-        if not any(parts) and all(rec.body.get("policy_id") != pid for rec in log):
+    named = set(policy_ids(kept))
+    for pid in found:
+        if pid not in named:
             raise UnknownPolicyError(pid)
     return {pid: PolicyView(pid, *parts) for pid, parts in found.items()}
 

@@ -190,6 +190,13 @@ class TestQuery:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert [rec["offset"] for rec in lines] == [0, 1, 2]
 
+    @pytest.mark.parametrize("bad", ["5", "a:b", "3:"])
+    def test_malformed_offsets_exit_2(self, run_dir, capsys, bad):
+        assert main(["query", str(run_dir / "events.jsonl"), "--offsets", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad --offsets {bad!r}: not lo:hi, two integers\n"
+
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["query", str(tmp_path / "nope.jsonl")]) == 2
 

@@ -537,6 +537,18 @@ class TestSnapshots:
         early = system.goal_display_snapshot(policy.policy_id, upto=defined_at)
         assert early.goals[0]["metrics"][0]["status"] == "pending"
 
+    def test_snapshot_is_stamped_with_its_last_folded_record_time(self):
+        system = make_system()
+        policy = open_policy(system)
+        define_default_goal(system, policy)
+        system.create_local_token(SNT, policy.policy_id, task="analyse", task_input="complaints",
+                                  task_output="problem analysis document",
+                                  task_description="analysis")
+        last = len(system.log) - 1
+        assert (system.log[5].logical_time, system.log[last].logical_time) == (6, 8)
+        for upto, time in [(5, 6), (None, 8), (last, 8), (last + 10, 8), (-1, 0)]:
+            assert system.goal_display_snapshot(policy.policy_id, upto=upto).snapshot_time == time, upto
+
     def test_fold_matches_live_engine_state(self):
         system = make_system()
         policy = open_policy(system)

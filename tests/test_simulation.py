@@ -1,5 +1,6 @@
 """Scenario loading, the deterministic scheduler, and run summaries."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from policyprov import Address, Metric, MetricKind, TokenKind, fixture_path, loa
 from policyprov.cli import main
 from policyprov.errors import DuplicateGoalError, RunawayScenarioError, ScenarioError, UnknownPolicyError
 from policyprov.simulation import Rule, _Runner, build_system, trace_of
+from policyprov.storage import EventLog
 
 from conftest import random_scenario_dict, two_policy_scenario_dict
 
@@ -357,8 +359,29 @@ class TestTraceOf:
         system = build_system(scenario)
         _Runner(scenario, system, step_budget=1000).run()
         expected = {p: system.goal_display_snapshot(p).to_record() for p in system.policies}
-        assert trace_of(system).goal_snapshots == expected
+        assert trace_of(system.log).goal_snapshots == expected
         assert all(snapshot["goals"] for snapshot in expected.values())
+
+    @pytest.mark.parametrize("raw", [fixture_path(name) for name in FIXTURES] + [two_policy_scenario_dict()],
+                             ids=FIXTURES + ["two-policies"])
+    def test_fold_of_the_written_log_reproduces_the_run_outputs(self, raw, tmp_path, capsys):
+        if isinstance(raw, dict):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(raw))
+            raw = path
+        out = tmp_path / "out"
+        assert main(["run", str(raw), "-o", str(out)]) == 0
+        trace = trace_of(EventLog.load(out / "events.jsonl"))
+        goals = json.dumps(trace.goal_snapshots, sort_keys=True, indent=2) + "\n"
+        assert (out / "goals.json").read_bytes() == goals.encode("utf-8")
+        assert (out / "trace.txt").read_bytes() == trace_report(trace).encode("utf-8")
+        quiescent = f"quiescent after {len(trace.offsets)} events; log hash {trace.log_hash}\n"
+        assert capsys.readouterr().out == quiescent
+
+    def test_empty_log_folds_to_an_empty_summary(self):
+        trace = trace_of(EventLog())
+        assert (trace.goal_snapshots, len(trace.offsets), trace.receipt_summary) == ({}, 0, {})
+        assert trace.log_hash == hashlib.sha256(b"").hexdigest()
 
     def test_goal_id_reused_by_another_policy_stops_the_run(self):
         with pytest.raises(DuplicateGoalError):

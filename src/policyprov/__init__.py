@@ -26,7 +26,7 @@ from .network import DeliveryReceipt, NetworkEngine
 from .prov import ProvDocument, build_prov, export_prov_json, token_to_prov_fragment
 from .reconstruct import ProcessGraph, classify_pattern, detect_loops, query, reconstruct_process, to_dot
 from .simulation import RunTrace, Scenario, load_scenario, run, trace_report
-from .storage import DataStore, EventLog, EventRecord, LogicalClock
+from .storage import DataStore, EventLog, EventRecord
 from .system import PolicySystem
 
 __version__ = "0.1.0"

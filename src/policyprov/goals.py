@@ -12,18 +12,17 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import (
-    AlreadyTerminatedError,
+    CorruptLogError,
     DuplicateGoalError,
     DuplicateMetricError,
     EmptyMetricsError,
     LastMetricError,
     NotOwnerError,
-    UnknownDecisionError,
     UnknownGoalError,
     UnknownPhaseError,
 )
-from .model import Address, DataRecord, LocalToken, PolicyRef, PolicyStatus, TokenKind
-from .storage import EventLog, LogicalClock, policy_ids
+from .model import Address, DataRecord, LocalToken, PolicyRef, TokenKind
+from .storage import EventLog, policy_ids
 
 
 class MetricKind(str, Enum):
@@ -169,13 +168,17 @@ class GoalBook:
 
     def apply(self, event_kind: str, body: dict) -> None:
         """Apply one record of a kind in `GOAL_KINDS`; goals it names but
-        the book does not hold are ignored."""
+        the book does not hold are ignored. A definition of a goal id that
+        another policy holds raises `CorruptLogError`: a goal id belongs to
+        one policy, and the live engine refuses it before it is logged."""
         if event_kind in ("goal-defined", "goal-modified"):
             new = Goal.from_record(body)
             goal = self.goals.get(new.goal_id)
             if goal is None:
                 goal = self.goals[new.goal_id] = new
                 self.position[goal.goal_id] = len(self.position)
+            elif goal.policy_id != new.policy_id:
+                raise CorruptLogError(f"goal {new.goal_id} of {new.policy_id} already belongs to {goal.policy_id}")
             else:
                 # In place, so that a goal object handed out stays live.
                 vars(goal).update(vars(new))
@@ -197,16 +200,10 @@ class GoalBook:
 
 
 class GoalEngine:
-    """Goal Manager + Goal Display: definition, monitoring, decisions."""
+    """Goal Manager + Goal Display: definition and monitoring."""
 
-    def __init__(
-        self,
-        log: EventLog,
-        clock: LogicalClock,
-        phases: tuple[str, ...],
-    ):
+    def __init__(self, log: EventLog, phases: tuple[str, ...]):
         self._log = log
-        self._clock = clock
         self.phases = tuple(phases)
         # Called with (goal, event) when an event satisfies a goal's last metric.
         self.on_goal_satisfied: Optional[Callable] = None
@@ -218,7 +215,7 @@ class GoalEngine:
         In this order, whoever reads the state as the record is appended sees
         the state the record describes."""
         self._book.apply(event_kind, body)
-        self._log.append(event_kind, body, self._clock.tick())
+        self._log.append(event_kind, body, self._log.tick())
 
     # -- registry views -------------------------------------------------
 
@@ -293,22 +290,6 @@ class GoalEngine:
         new.status = GoalStatus.SATISFIED if new.all_satisfied() else GoalStatus.ACTIVE
         self._record("goal-modified", new.to_record() | {"by": str(by), "op": op})
         return goal
-
-    def decide_continuation(self, policy: PolicyRef, decision: str, by: Address) -> PolicyRef:
-        if by != policy.owner:
-            raise NotOwnerError(str(by))
-        if decision not in ("continue", "terminate"):
-            raise UnknownDecisionError(f"{decision!r} is neither continue nor terminate")
-        if decision == "terminate":
-            if policy.status is PolicyStatus.TERMINATED:
-                raise AlreadyTerminatedError(policy.policy_id)
-            policy.status = PolicyStatus.TERMINATED
-        self._log.append(
-            "decision",
-            {"policy_id": policy.policy_id, "decision": decision, "by": str(by)},
-            self._clock.tick(),
-        )
-        return policy
 
     # -- continuous monitoring --------------------------------------------
 

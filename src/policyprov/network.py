@@ -3,7 +3,9 @@
 Each network's controller creates tokens (ids, sequence numbers, logical
 timestamps, goal/phase stamps), routes intra-network, and hands cross-network
 tokens to the connector pair. No routes are pre-allocated: the only routing
-state is the address books (registered actors and linked networks).
+state is the address books (registered actors and linked networks). The
+engine also owns the policies: it opens them, looks them up, and is the only
+writer of `decision` records and of a policy's status.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (
+    AlreadyTerminatedError,
     InvalidTokenError,
     IntraNetworkRouteError,
     NoOwnerConfiguredError,
+    NotOwnerError,
     SelfDestinationError,
     TerminatedPolicyError,
     UnknownActorError,
+    UnknownDecisionError,
     UnknownNetworkError,
     UnknownPolicyError,
 )
@@ -38,7 +43,7 @@ from .model import (
     validate_local_token,
     validate_routed_token,
 )
-from .storage import DataStore, EventLog, LogicalClock
+from .storage import DataStore, EventLog
 
 
 @dataclass(frozen=True)
@@ -62,24 +67,20 @@ class NetworkEngine:
     def __init__(
         self,
         log: EventLog,
-        clock: LogicalClock,
         store: DataStore,
-        policies: dict[str, PolicyRef],
         goal_engine: GoalEngine,
         seed: int = 0,
         owner: Optional[Address] = None,
     ):
         self._log = log
-        self._clock = clock
         self._store = store
-        self._policies = policies
         self._goals = goal_engine
         self._rng = random.Random(seed)
         self.owner = owner
+        self.policies: dict[str, PolicyRef] = {}  # in creation order
         self.networks: dict[str, Network] = {}
         self.links: set[frozenset] = set()
         self._delivered: set[str] = set()
-        self._policy_counter = 0
         # Simulation hook: called with each delivered RoutedToken.
         self.on_delivered: Optional[Callable[[RoutedToken], None]] = None
         goal_engine.on_goal_satisfied = self._notify_goal_satisfied
@@ -126,20 +127,9 @@ class NetworkEngine:
             raise NoOwnerConfiguredError()
         if submission.data_id not in self._store:
             raise ValueError("submission must be stored before notification")
-        self._policy_counter += 1
-        policy_id = f"pol-{self._policy_counter}"
-        policy = PolicyRef(policy_id, self.owner)
-        self._policies[policy_id] = policy
-        self._log.append(
-            "decision",
-            {
-                "policy_id": policy_id,
-                "decision": "policy-created",
-                "by": str(from_addr),
-                "data_reference": submission.data_id,
-            },
-            self._clock.tick(),
-        )
+        policy_id = f"pol-{len(self.policies) + 1}"
+        policy = self.policies[policy_id] = PolicyRef(policy_id, self.owner)
+        self._decision(policy_id, "policy-created", from_addr, data_reference=submission.data_id)
         token = receipt = None
         if from_addr != self.owner:
             token, receipt = self.send_token(
@@ -152,6 +142,25 @@ class NetworkEngine:
                 data_details=submission.media_hint,
             )
         return policy, token, receipt
+
+    def decide_continuation(self, policy_id: str, decision: str, by: Address) -> PolicyRef:
+        """The owner's decision to continue or terminate the policy."""
+        policy = self.policy(policy_id)
+        if by != policy.owner:
+            raise NotOwnerError(str(by))
+        if decision not in ("continue", "terminate"):
+            raise UnknownDecisionError(f"{decision!r} is neither continue nor terminate")
+        if decision == "terminate":
+            if policy.status is PolicyStatus.TERMINATED:
+                raise AlreadyTerminatedError(policy_id)
+            policy.status = PolicyStatus.TERMINATED
+        self._decision(policy_id, decision, by)
+        return policy
+
+    def _decision(self, policy_id: str, decision: str, by: Address, **fields):
+        self._log.append(
+            "decision", {"policy_id": policy_id, "decision": decision, "by": str(by), **fields}, self._log.tick()
+        )
 
     # -- token creation ------------------------------------------------------
 
@@ -190,7 +199,7 @@ class NetworkEngine:
             nature_of_stakeholders=self._stakeholder_nature(actor, policy),
             data_details=data_details or task_input,
             source_of_evidence=source_of_evidence or task_input,
-            timestamp=self._clock.tick(),
+            timestamp=self._log.tick(),
             data_reference=data_reference,
         )
         result = validate_local_token(token)
@@ -240,7 +249,7 @@ class NetworkEngine:
             source_of_evidence=source_of_evidence or previous_task,
             communication_with=destination,
             data_reference=data_reference,
-            timestamp=self._clock.tick(),
+            timestamp=self._log.tick(),
             source_address=actor,
             destination_address=destination,
             kind=kind,
@@ -275,7 +284,7 @@ class NetworkEngine:
         ):
             return self._receipt(token, "dead-letter")
         self._delivered.add(token.token_id)
-        self._log.append("routed-token-receive", dict(record), self._clock.tick())
+        self._log.append("routed-token-receive", dict(record), self._log.tick())
         receipt = self._receipt(token, "delivered")
         self._goals.evaluate_event(token)
         if self.on_delivered is not None:
@@ -283,7 +292,7 @@ class NetworkEngine:
         return receipt
 
     def _receipt(self, token: RoutedToken, outcome: str) -> DeliveryReceipt:
-        receipt = DeliveryReceipt(token.token_id, outcome, self._clock.tick())
+        receipt = DeliveryReceipt(token.token_id, outcome, self._log.tick())
         self._log.append(
             "receipt",
             receipt.to_record() | {"policy_id": token.policy_id},
@@ -294,12 +303,11 @@ class NetworkEngine:
     # -- goal-satisfaction notifications ---------------------------------------
 
     def _notify_goal_satisfied(self, goal, event):
-        """Emit a notification token to the policy owner (first-class token)."""
-        policy = self._policies.get(goal.policy_id)
-        if policy is None:
-            return
+        """Emit a notification token to the policy owner (first-class token).
+        A terminated policy takes no tokens, so it is not notified."""
+        policy = self.policies[goal.policy_id]
         source = _event_actor(event)
-        if source is None or source == policy.owner or not self.is_registered(source):
+        if policy.status is PolicyStatus.TERMINATED or source == policy.owner or not self.is_registered(source):
             return
         self.send_token(
             source,
@@ -313,10 +321,14 @@ class NetworkEngine:
 
     # -- helpers ---------------------------------------------------------------
 
+    def policy(self, policy_id: str) -> PolicyRef:
+        try:
+            return self.policies[policy_id]
+        except KeyError:
+            raise UnknownPolicyError(str(policy_id)) from None
+
     def _active_policy(self, policy_id: str) -> PolicyRef:
-        policy = self._policies.get(policy_id)
-        if policy is None:
-            raise UnknownPolicyError(policy_id)
+        policy = self.policy(policy_id)
         if policy.status is PolicyStatus.TERMINATED:
             raise TerminatedPolicyError(policy_id)
         return policy
@@ -344,11 +356,10 @@ class NetworkEngine:
         return str(uuid.UUID(int=self._rng.getrandbits(128), version=4))
 
 
-def _event_actor(event) -> Optional[Address]:
+def _event_actor(event) -> Address:
+    """Who carried out an evaluated event: a token or a data record."""
     if isinstance(event, LocalToken):
         return event.who_carried_out
     if isinstance(event, RoutedToken):
         return event.source_address
-    if isinstance(event, DataRecord):
-        return event.created_by
-    return None
+    return event.created_by

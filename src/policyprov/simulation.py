@@ -102,14 +102,15 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     phases = tuple(raw.get("phases", ("agenda-setting", "analysis")))
     declared = {f"{n}/{a}" for n, actors in networks.items() for a in actors}
 
-    def resolve(text: str, context: str) -> Address:
-        if text not in declared:
+    def resolve(text, context: str) -> str:
+        """`text`, which must be a declared actor's address."""
+        if not isinstance(text, str) or text not in declared:
             raise ScenarioError(f"unresolved address {text!r} in {context}")
-        return Address.parse(text)
+        return text
 
     owner = None
     if raw.get("owner"):
-        owner = resolve(raw["owner"], "owner")
+        owner = Address.parse(resolve(raw["owner"], "owner"))
 
     goal_defs = {}
     for ref, spec in raw.get("goals", {}).items():
@@ -131,7 +132,8 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
     rules: list[Rule] = []
     for behavior in raw.get("behaviors", []):
-        actor = resolve(behavior.get("actor"), "behaviors")
+        actor = Address.parse(resolve(behavior.get("actor"), "behaviors"))
+        where = f"rule for {actor}"
         for rule_raw in behavior.get("rules", []):
             trigger = rule_raw.get("trigger", {})
             if not isinstance(trigger, dict) or ("on_receive" not in trigger and "at_time" not in trigger):
@@ -153,14 +155,22 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                 if not isinstance(trigger["policy"], str) or not trigger["policy"]:
                     raise ScenarioError(f"rule for {actor} names policy {trigger['policy']!r}, not a policy id")
             if "from" in on_receive:
-                resolve(on_receive["from"], f"rule for {actor}")
+                resolve(on_receive["from"], where)
             for action in actions:
                 if not isinstance(action, dict):
                     raise ScenarioError(f"rule for {actor}: action {action!r} is not an object")
-                if action.get("do") == "send_token":
-                    resolve(action.get("to"), f"rule for {actor}")
-                elif action.get("do") == "define_goal" and action.get("goal") not in goal_defs:
+                do = action.get("do")
+                try:
+                    enum_values = _ACTIONS[do]
+                except (KeyError, TypeError):  # TypeError: a `do` such as a list, which no key equals
+                    raise ScenarioError(f"rule for {actor}: unknown action {do!r}") from None
+                if do == "send_token":
+                    resolve(action.get("to"), where)
+                elif do == "define_goal" and action.get("goal") not in goal_defs:
                     raise ScenarioError(f"rule for {actor} references unknown goal {action.get('goal')}")
+                for key, values in enum_values:
+                    if key in action and not (isinstance(action[key], str) and action[key] in values):
+                        raise ScenarioError(f"rule for {actor}: {action[key]!r} is not a valid {_ENUMS[key].__name__}")
             rules.append(
                 Rule(actor, trigger, list(actions), rule_raw.get("once", True), len(rules))
             )
@@ -327,14 +337,18 @@ _LOCAL_KEYS, _SEND_KEYS = (
 )
 _ENUMS = {"kind": TokenKind, "communication_pattern": CommunicationPattern,
           "nature_of_task_input": ArtifactNature, "nature_of_task_output": ArtifactNature}
+# The actions a rule may take (`load_scenario` refuses any other `do`), each
+# with the enum keys it takes and the values each accepts: `load_scenario`
+# checks those, so that `_token_fields` converts without fail.
+_ACTIONS = {do: () for do in ("submit_policy", "put_data", "define_goal", "decide")} | {
+    do: tuple((key, frozenset(member.value for member in _ENUMS[key])) for key in _ENUMS if key in keys)
+    for do, keys in (("local_token", _LOCAL_KEYS), ("send_token", _SEND_KEYS))
+}
 
 
 def _token_fields(action: dict, keys: frozenset[str]) -> dict:
     """The action's keys that `keys` names, enum values converted; other keys are ignored."""
-    try:
-        return {key: _ENUMS[key](value) if key in _ENUMS else value for key, value in action.items() if key in keys}
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    return {key: _ENUMS[key](value) if key in _ENUMS else value for key, value in action.items() if key in keys}
 
 
 def run(

@@ -43,21 +43,6 @@ _ADDRESS_FIELDS = (
 )
 
 
-class LogicalClock:
-    """Monotonic tick counter; the only time source in the system."""
-
-    def __init__(self, start: int = 0):
-        self._now = start
-
-    @property
-    def now(self) -> int:
-        return self._now
-
-    def tick(self) -> int:
-        self._now += 1
-        return self._now
-
-
 @dataclass(frozen=True)
 class EventRecord:
     offset: int
@@ -90,10 +75,12 @@ def _actor_matches(body: dict, actor: str) -> bool:
 
 
 class EventLog:
-    """Single-writer append-only log; offsets are dense from 0."""
+    """Single-writer append-only log; offsets are dense from 0. It is also the
+    only time source: `tick` issues every logical time, from 1."""
 
     def __init__(self, path: Optional[Path] = None):
         self._records: list[EventRecord] = []
+        self._now = 0
         # Running SHA-256 over the JSON lines of the first `_hashed` records.
         self._digest = hashlib.sha256()
         self._hashed = 0
@@ -102,6 +89,11 @@ class EventLog:
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self._path.open("wb")
+
+    def tick(self) -> int:
+        """The next logical time; each record is appended at a fresh one."""
+        self._now += 1
+        return self._now
 
     def append(self, event_kind: str, body: dict, logical_time: int) -> int:
         if event_kind not in EVENT_KINDS:
@@ -219,9 +211,8 @@ class EventLog:
 class DataStore:
     """Content-addressed store; put is idempotent for identical bytes."""
 
-    def __init__(self, log: EventLog, clock: LogicalClock, root: Optional[Path] = None):
+    def __init__(self, log: EventLog, root: Optional[Path] = None):
         self._log = log
-        self._clock = clock
         self._root = Path(root) if root else None
         self._records: dict[str, DataRecord] = {}
         # Called with each record when it is first stored.
@@ -233,7 +224,7 @@ class DataStore:
         data_id = content_hash(payload)
         if data_id in self._records:
             return self._records[data_id]
-        record = DataRecord(data_id, payload, media_hint, by, self._clock.tick())
+        record = DataRecord(data_id, payload, media_hint, by, self._log.tick())
         self._records[data_id] = record
         if self._root is not None:
             # The file name fixes its content, so a file that already holds the

@@ -1,4 +1,4 @@
-"""Facade wiring the clock, log, data store, goal engine and network engine."""
+"""Facade wiring the log, data store, goal engine and network engine."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ from typing import Optional
 
 from .errors import UnknownPolicyError
 from .goals import GoalDisplaySnapshot, GoalEngine, goal_snapshots
-from .model import Address, DEFAULT_PHASES, PolicyRef
+from .model import Address, DEFAULT_PHASES
 from .network import NetworkEngine
-from .storage import DataStore, EventLog, LogicalClock
+from .storage import DataStore, EventLog
 
 
 class PolicySystem:
@@ -23,15 +23,12 @@ class PolicySystem:
         log_path: Optional[Path] = None,
         data_root: Optional[Path] = None,
     ):
-        self.clock = LogicalClock()
         self.log = EventLog(log_path)
-        self.store = DataStore(self.log, self.clock, data_root)
-        self.policies: dict[str, PolicyRef] = {}
-        self.goals = GoalEngine(self.log, self.clock, tuple(phases))
+        self.store = DataStore(self.log, data_root)
+        self.goals = GoalEngine(self.log, tuple(phases))
         self.store.on_stored = self.goals.evaluate_event
-        self.network = NetworkEngine(
-            self.log, self.clock, self.store, self.policies, self.goals, seed=seed, owner=owner
-        )
+        self.network = NetworkEngine(self.log, self.store, self.goals, seed=seed, owner=owner)
+        self.policies = self.network.policies
 
     # Registry / routing shortcuts.
     def register_network(self, network_id):
@@ -56,20 +53,14 @@ class PolicySystem:
     def send_token(self, actor, policy_id, destination, **fields):
         return self.network.send_token(actor, policy_id, destination=destination, **fields)
 
-    def _policy(self, policy_id) -> PolicyRef:
-        try:
-            return self.policies[policy_id]
-        except KeyError:
-            raise UnknownPolicyError(str(policy_id)) from None
-
     def define_goal(self, policy_id, phase, name, metrics, by, goal_id=None):
-        return self.goals.define_goal(self._policy(policy_id), phase, name, metrics, by, goal_id)
+        return self.goals.define_goal(self.network.policy(policy_id), phase, name, metrics, by, goal_id)
 
     def modify_goal(self, policy_id, goal_id, change, by):
-        return self.goals.modify_goal(self._policy(policy_id), goal_id, change, by)
+        return self.goals.modify_goal(self.network.policy(policy_id), goal_id, change, by)
 
     def decide_continuation(self, policy_id, decision, by):
-        return self.goals.decide_continuation(self._policy(policy_id), decision, by)
+        return self.network.decide_continuation(policy_id, decision, by)
 
     def goal_display_snapshot(self, policy_id, upto=None) -> GoalDisplaySnapshot:
         """The policy's goals as folded from the log up to offset `upto`; see `goal_snapshots`."""

@@ -2,7 +2,8 @@
 
 Every lookup of `prov` and `reconstruct` is a `bisect` or a dict lookup on a
 `PolicyView`. Its lists are sorted by timestamp, ties in log order (which the
-one logical clock makes the same order). Views live for one call.
+log's one logical time, `EventLog.tick`, makes the same order). Views live for
+one call.
 """
 
 from __future__ import annotations

@@ -45,16 +45,31 @@ def alpha_actions(raw) -> list:
 MALFORMED = {
     "action-without-do": (
         pattern_sequential(lambda raw: alpha_actions(raw)[0].pop("do")),
-        "run failed: scenario-error: unknown action None"),
+        "scenario error: rule for net/alpha: unknown action None"),
+    "unknown-action": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[1].update(do="broadcast")),
+        "scenario error: rule for net/alpha: unknown action 'broadcast'"),
+    "action-do-not-text": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[1].update(do=["send_token"])),
+        "scenario error: rule for net/alpha: unknown action ['send_token']"),
     "send-without-to": (
         pattern_sequential(lambda raw: alpha_actions(raw)[1].pop("to")),
         "scenario error: unresolved address None"),
+    "send-to-not-text": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[1].update(to=["net/beta"])),
+        "scenario error: unresolved address ['net/beta'] in rule for net/alpha"),
     "local-token-without-task": (
         pattern_sequential(lambda raw: alpha_actions(raw)[0].pop("task")),
         "run failed: invalid-token: invalid token fields: task"),
     "bogus-token-kind": (
         pattern_sequential(lambda raw: alpha_actions(raw)[1].update(kind="bogus")),
-        "run failed: scenario-error: 'bogus' is not a valid TokenKind"),
+        "scenario error: rule for net/alpha: 'bogus' is not a valid TokenKind"),
+    "no-such-kind": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[1].update(kind="no-such-kind")),
+        "scenario error: rule for net/alpha: 'no-such-kind' is not a valid TokenKind"),
+    "local-token-bad-nature": (
+        pattern_sequential(lambda raw: alpha_actions(raw)[0].update(nature_of_task_output="tablet")),
+        "scenario error: rule for net/alpha: 'tablet' is not a valid ArtifactNature"),
     "decision-maybe": (
         pattern_sequential(
             lambda raw: raw["behaviors"][1]["rules"][0]["actions"].append({"do": "decide", "decision": "maybe"})),
@@ -167,6 +182,8 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert err.count("\n") == 1
+        # A scenario refused when it is loaded runs nothing.
+        assert (tmp_path / "o" / "events.jsonl").exists() == message.startswith("run failed")
 
     def test_runaway_exits_3(self, tmp_path):
         code = main(["run", str(fixture_path("neighbourhood_safety")),

@@ -20,6 +20,7 @@ from policyprov import (
 )
 from policyprov.errors import (
     AlreadyTerminatedError,
+    CorruptLogError,
     DuplicateGoalError,
     DuplicateMetricError,
     EmptyMetricsError,
@@ -32,7 +33,7 @@ from policyprov.errors import (
     UnknownPolicyError,
 )
 from policyprov.goals import GoalStatus, MetricStatus, canonical_artifact, fold_goal_state
-from policyprov.simulation import _Runner, build_system
+from policyprov.simulation import _Runner, build_system, trace_of
 from policyprov.storage import EventLog
 
 from conftest import (
@@ -639,6 +640,18 @@ def test_fold_of_hand_written_goal_records(policy_id, upto, expected):
         for g in fold_goal_state(log, policy_id, upto=upto)
     ]
     assert folded == expected
+
+
+@pytest.mark.parametrize("second_kind", ["goal-defined", "goal-modified"])
+def test_goal_id_of_another_policy_in_a_loaded_log_is_corrupt(second_kind):
+    """A goal id belongs to one policy: a log that defines g-x for pol-1 and then
+    for pol-2 does not fold, where it moved the goal to pol-2."""
+    log = EventLog()
+    log.append("goal-defined", goal_record("g-x", "pol-1", "x", [metric_record("m1", artifact="x")]), 1)
+    log.append(second_kind, goal_record("g-x", "pol-2", "x", [metric_record("m1", artifact="x")]), 2)
+    for fold in (trace_of, fold_goal_state):
+        with pytest.raises(CorruptLogError, match="goal g-x of pol-2 already belongs to pol-1"):
+            fold(log)
 
 
 @settings(max_examples=60, deadline=None)

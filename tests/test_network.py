@@ -3,18 +3,23 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from policyprov import Address, TokenKind
+from policyprov import Address, Metric, MetricKind, TokenKind, fixture_path, load_scenario
 from policyprov.errors import (
+    AlreadyTerminatedError,
     IntraNetworkRouteError,
     InvalidTokenError,
     NoOwnerConfiguredError,
     SelfDestinationError,
+    TerminatedPolicyError,
     UnknownActorError,
     UnknownGoalError,
     UnknownNetworkError,
     UnknownPolicyError,
 )
+from policyprov.simulation import _Runner, build_system
 
 from conftest import (
     BCU,
@@ -345,6 +350,19 @@ class TestGoalSatisfactionNotice:
         assert notices[0].body["destination_address"] == str(OWNER)
         assert notices[0].body["source_address"] == str(BCU)
 
+    def test_no_notice_for_a_terminated_policy(self):
+        """Data delivering a terminated policy's artifact satisfies its goal, and sends no token."""
+        system = make_system()
+        policy = open_policy(system)
+        system.define_goal(policy.policy_id, "agenda-setting", "report",
+                           [Metric("m", MetricKind.ARTIFACT_DELIVERY, artifact_key="report")],
+                           by=OWNER, goal_id="g-report")
+        system.decide_continuation(policy.policy_id, "terminate", by=OWNER)
+        logged = len(system.log)
+        record = system.put_data(b"the report", SNT, "Report")
+        assert system.store.get(record.data_id) is record
+        assert [rec.event_kind for rec in system.log][logged:] == ["data-stored", "metric-satisfied", "goal-satisfied"]
+
     def test_no_notice_when_owner_satisfies_goal(self):
         system = make_system()
         policy = open_policy(system)
@@ -380,3 +398,69 @@ def test_different_seeds_give_different_token_ids():
         return local(system, SNT, policy.policy_id).token_id
 
     assert run_once(1) != run_once(2)
+
+
+def check_statuses_after_every_record(system) -> list:
+    """Wrap the system's log so that, after each appended record, every
+    policy's status is compared with what the `decision` records so far say:
+    `policy-created` opens a policy as active and `terminate` ends it. Returns
+    the list the mismatches are put in."""
+    append, expected, mismatches = system.log.append, {}, []
+
+    def checked_append(event_kind, body, logical_time):
+        offset = append(event_kind, body, logical_time)
+        if event_kind == "decision" and body["decision"] == "policy-created":
+            expected[body["policy_id"]] = "active"
+        elif event_kind == "decision" and body["decision"] == "terminate":
+            expected[body["policy_id"]] = "terminated"
+        live = {policy_id: policy.status.value for policy_id, policy in system.policies.items()}
+        if live != expected:
+            mismatches.append((offset, event_kind, live, dict(expected)))
+        return offset
+
+    system.log.append = checked_append
+    return mismatches
+
+
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("open")),
+    st.tuples(st.just("decide"), st.integers(0, 2), st.sampled_from(["continue", "terminate"])),
+    st.tuples(st.just("put"), st.sampled_from(["report", "memo"])),
+    st.tuples(st.just("work"), st.integers(0, 2), st.sampled_from(["report", "memo"])),
+), max_size=25)
+
+
+class TestPolicyLifecycle:
+    @settings(max_examples=60, deadline=None)
+    @given(OPS)
+    def test_statuses_follow_the_decision_records(self, ops):
+        system = make_system()
+        mismatches = check_statuses_after_every_record(system)
+        for step, (op, *args) in enumerate(ops):
+            policies = list(system.policies)
+            if op == "open":
+                policy = open_policy(system, f"idea {step}".encode())
+                system.define_goal(policy.policy_id, "agenda-setting", "report",
+                                   [Metric("m", MetricKind.ARTIFACT_DELIVERY, artifact_key="report")],
+                                   by=OWNER, goal_id=f"g-{policy.policy_id}")
+            elif op == "put":
+                system.put_data(f"{args[0]} {step}".encode(), SNT, args[0])
+            elif policies:
+                policy_id = policies[args[0] % len(policies)]
+                try:
+                    if op == "decide":
+                        system.decide_continuation(policy_id, args[1], by=OWNER)
+                    else:
+                        local(system, SNT, policy_id, output=args[1])
+                except (AlreadyTerminatedError, TerminatedPolicyError):
+                    pass
+        assert mismatches == []
+
+    @pytest.mark.parametrize("name", ["neighbourhood_safety", "change_control_board"])
+    def test_fixture_statuses_follow_the_decision_records(self, name):
+        scenario = load_scenario(fixture_path(name))
+        system = build_system(scenario)
+        mismatches = check_statuses_after_every_record(system)
+        _Runner(scenario, system, step_budget=1000).run()
+        assert system.log.scan(event_kind="decision", policy_id="pol-1")
+        assert mismatches == []

@@ -1,4 +1,4 @@
-"""Event log, logical clock, and content-addressed data store."""
+"""Event log, its logical time, and content-addressed data store."""
 
 import hashlib
 import json
@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import policyprov
-from policyprov import Address, DataStore, EventLog, LogicalClock, fixture_path, load_scenario, run
+from policyprov import Address, DataStore, EventLog, fixture_path, load_scenario, run
 from policyprov.errors import CorruptLogError, TornLogError, UnknownDataIdError
 from policyprov.model import content_hash
 from policyprov.prov import build_prov
@@ -27,9 +27,11 @@ ALICE = Address("net", "alice")
 
 
 def test_clock_is_monotonic_from_one():
-    clock = LogicalClock()
-    assert [clock.tick() for _ in range(3)] == [1, 2, 3]
-    assert clock.now == 3
+    log = EventLog()
+    assert [log.tick() for _ in range(3)] == [1, 2, 3]
+    log.append("decision", {"policy_id": "pol-1"}, log.tick())
+    assert log.tick() == 5
+    assert [rec.logical_time for rec in log] == [4]
 
 
 class TestEventLog:
@@ -293,7 +295,7 @@ class TestScan:
 class TestDataStore:
     def make(self, tmp_path=None):
         log = EventLog()
-        return DataStore(log, LogicalClock(), root=tmp_path), log
+        return DataStore(log, root=tmp_path), log
 
     def test_put_get_roundtrip(self):
         store, _ = self.make()

@@ -27,7 +27,9 @@ from .prov import ProvDocument, build_prov, export_prov_json, token_to_prov_frag
 from .reconstruct import ProcessGraph, classify_pattern, detect_loops, query, reconstruct_process, to_dot
 from .simulation import RunTrace, Scenario, load_scenario, run, trace_report
 from .storage import DataStore, EventLog, EventRecord
-from .system import PolicySystem
+
+# The library name of the network engine, which is the whole service.
+PolicySystem = NetworkEngine
 
 __version__ = "0.1.0"
 

@@ -1,11 +1,13 @@
-"""Network layer: per-network policy controllers and external connectors.
+"""The tracking service: one engine owns the log, the data store, the goals,
+the networks and the policies.
 
 Each network's controller creates tokens (ids, sequence numbers, logical
 timestamps, goal/phase stamps), routes intra-network, and hands cross-network
 tokens to the connector pair. No routes are pre-allocated: the only routing
 state is the address books (registered actors and linked networks). The
-engine also owns the policies: it opens them, looks them up, and is the only
-writer of `decision` records and of a policy's status.
+engine opens the policies, looks them up, and is the only writer of
+`decision` records and of a policy's status. Every stored datum and every
+token it creates or delivers goes to goal monitoring from here.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 import uuid
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import (
@@ -28,12 +31,13 @@ from .errors import (
     UnknownNetworkError,
     UnknownPolicyError,
 )
-from .goals import GoalEngine
+from .goals import GoalDisplaySnapshot, GoalEngine, goal_snapshots
 from .model import (
     Address,
     ArtifactNature,
     CommunicationPattern,
     DataRecord,
+    DEFAULT_PHASES,
     LocalToken,
     PolicyRef,
     PolicyStatus,
@@ -64,17 +68,20 @@ class Network:
 
 
 class NetworkEngine:
+    """One provenance-tracked policy environment (all networks, one log),
+    exported as `policyprov.PolicySystem`."""
+
     def __init__(
         self,
-        log: EventLog,
-        store: DataStore,
-        goal_engine: GoalEngine,
+        phases=DEFAULT_PHASES,
         seed: int = 0,
         owner: Optional[Address] = None,
+        log_path: Optional[Path] = None,
+        data_root: Optional[Path] = None,
     ):
-        self._log = log
-        self._store = store
-        self._goals = goal_engine
+        self.log = EventLog(log_path)
+        self.store = DataStore(self.log, data_root)
+        self.goals = GoalEngine(self.log, tuple(phases))
         self._rng = random.Random(seed)
         self.owner = owner
         self.policies: dict[str, PolicyRef] = {}  # in creation order
@@ -83,7 +90,7 @@ class NetworkEngine:
         self._delivered: set[str] = set()
         # Simulation hook: called with each delivered RoutedToken.
         self.on_delivered: Optional[Callable[[RoutedToken], None]] = None
-        goal_engine.on_goal_satisfied = self._notify_goal_satisfied
+        self.goals.on_goal_satisfied = self._notify_goal_satisfied
 
     # -- registry ---------------------------------------------------------
 
@@ -125,13 +132,16 @@ class NetworkEngine:
         """Open a policy for a stored submission and notify the owner."""
         if self.owner is None:
             raise NoOwnerConfiguredError()
-        if submission.data_id not in self._store:
+        if submission.data_id not in self.store:
             raise ValueError("submission must be stored before notification")
+        notify = from_addr != self.owner
+        if notify:
+            self._require_actor(from_addr)
         policy_id = f"pol-{len(self.policies) + 1}"
         policy = self.policies[policy_id] = PolicyRef(policy_id, self.owner)
         self._decision(policy_id, "policy-created", from_addr, data_reference=submission.data_id)
         token = receipt = None
-        if from_addr != self.owner:
+        if notify:
             token, receipt = self.send_token(
                 from_addr,
                 policy_id,
@@ -144,22 +154,23 @@ class NetworkEngine:
         return policy, token, receipt
 
     def decide_continuation(self, policy_id: str, decision: str, by: Address) -> PolicyRef:
-        """The owner's decision to continue or terminate the policy."""
+        """The owner's decision to continue or terminate the policy; a
+        terminated policy takes no further decision."""
         policy = self.policy(policy_id)
         if by != policy.owner:
             raise NotOwnerError(str(by))
         if decision not in ("continue", "terminate"):
             raise UnknownDecisionError(f"{decision!r} is neither continue nor terminate")
+        if policy.status is PolicyStatus.TERMINATED:
+            raise AlreadyTerminatedError(policy_id)
         if decision == "terminate":
-            if policy.status is PolicyStatus.TERMINATED:
-                raise AlreadyTerminatedError(policy_id)
             policy.status = PolicyStatus.TERMINATED
         self._decision(policy_id, decision, by)
         return policy
 
     def _decision(self, policy_id: str, decision: str, by: Address, **fields):
-        self._log.append(
-            "decision", {"policy_id": policy_id, "decision": decision, "by": str(by), **fields}, self._log.tick()
+        self.log.append(
+            "decision", {"policy_id": policy_id, "decision": decision, "by": str(by), **fields}, self.log.tick()
         )
 
     # -- token creation ------------------------------------------------------
@@ -199,14 +210,14 @@ class NetworkEngine:
             nature_of_stakeholders=self._stakeholder_nature(actor, policy),
             data_details=data_details or task_input,
             source_of_evidence=source_of_evidence or task_input,
-            timestamp=self._log.tick(),
+            timestamp=self.log.tick(),
             data_reference=data_reference,
         )
         result = validate_local_token(token)
         if not result.ok:
             raise InvalidTokenError(result.violations)
-        self._log.append("local-token", token.to_record(), token.timestamp)
-        self._goals.evaluate_event(token)
+        self.log.append("local-token", token.to_record(), token.timestamp)
+        self.goals.evaluate_event(token)
         return token
 
     def send_token(
@@ -249,7 +260,7 @@ class NetworkEngine:
             source_of_evidence=source_of_evidence or previous_task,
             communication_with=destination,
             data_reference=data_reference,
-            timestamp=self._log.tick(),
+            timestamp=self.log.tick(),
             source_address=actor,
             destination_address=destination,
             kind=kind,
@@ -258,7 +269,7 @@ class NetworkEngine:
         if not result.ok:
             raise InvalidTokenError(result.violations)
         record = token.to_record()
-        self._log.append("routed-token-send", record, token.timestamp)
+        self.log.append("routed-token-send", record, token.timestamp)
         return token, self._route(token, record)
 
     # -- delivery -------------------------------------------------------------
@@ -284,21 +295,44 @@ class NetworkEngine:
         ):
             return self._receipt(token, "dead-letter")
         self._delivered.add(token.token_id)
-        self._log.append("routed-token-receive", dict(record), self._log.tick())
+        self.log.append("routed-token-receive", dict(record), self.log.tick())
         receipt = self._receipt(token, "delivered")
-        self._goals.evaluate_event(token)
+        self.goals.evaluate_event(token)
         if self.on_delivered is not None:
             self.on_delivered(token)
         return receipt
 
     def _receipt(self, token: RoutedToken, outcome: str) -> DeliveryReceipt:
-        receipt = DeliveryReceipt(token.token_id, outcome, self._log.tick())
-        self._log.append(
+        receipt = DeliveryReceipt(token.token_id, outcome, self.log.tick())
+        self.log.append(
             "receipt",
             receipt.to_record() | {"policy_id": token.policy_id},
             receipt.at,
         )
         return receipt
+
+    # -- data and goals ---------------------------------------------------------
+
+    def put_data(self, payload: bytes, by: Address, media_hint: str = "") -> DataRecord:
+        """Store the payload; data stored for the first time goes to goal monitoring."""
+        logged = len(self.log)
+        record = self.store.put(payload, by, media_hint)
+        if len(self.log) > logged:
+            self.goals.evaluate_event(record)
+        return record
+
+    def define_goal(self, policy_id, phase, name, metrics, by, goal_id=None):
+        return self.goals.define_goal(self.policy(policy_id), phase, name, metrics, by, goal_id)
+
+    def modify_goal(self, policy_id, goal_id, change, by):
+        return self.goals.modify_goal(self.policy(policy_id), goal_id, change, by)
+
+    def goal_display_snapshot(self, policy_id, upto=None) -> GoalDisplaySnapshot:
+        """The policy's goals as folded from the log up to offset `upto`; see `goal_snapshots`."""
+        try:
+            return goal_snapshots(self.log, upto)[policy_id]
+        except KeyError:
+            raise UnknownPolicyError(str(policy_id)) from None
 
     # -- goal-satisfaction notifications ---------------------------------------
 
@@ -340,12 +374,12 @@ class NetworkEngine:
     def _stamp(self, policy_id: str, goal_id: Optional[str], phase_id: Optional[str]):
         """The controller reads the goal display to stamp goal and phase."""
         if goal_id:
-            goal = self._goals.goal(goal_id, policy_id)
+            goal = self.goals.goal(goal_id, policy_id)
             return goal_id, phase_id or goal.phase_id
-        current = self._goals.current_goal(policy_id)
+        current = self.goals.current_goal(policy_id)
         if current is not None:
             return current.goal_id, phase_id or current.phase_id
-        return "", phase_id or (self._goals.phases[0] if self._goals.phases else "")
+        return "", phase_id or (self.goals.phases[0] if self.goals.phases else "")
 
     def _stakeholder_nature(self, actor: Address, policy: PolicyRef) -> StakeholderNature:
         if actor.network_id == policy.owner.network_id:
@@ -354,6 +388,9 @@ class NetworkEngine:
 
     def _new_token_id(self) -> str:
         return str(uuid.UUID(int=self._rng.getrandbits(128), version=4))
+
+    def close(self):
+        self.log.close()
 
 
 def _event_actor(event) -> Address:

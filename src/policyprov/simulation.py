@@ -21,7 +21,6 @@ from .goals import Metric, MetricKind, goal_snapshots
 from .model import Address, ArtifactNature, CommunicationPattern, RoutedToken, TokenKind
 from .network import NetworkEngine
 from .storage import EventLog
-from .system import PolicySystem
 
 
 @dataclass
@@ -233,7 +232,7 @@ class _ReceiveIndex:
 
 
 class _Runner:
-    def __init__(self, scenario: Scenario, system: PolicySystem, step_budget: int):
+    def __init__(self, scenario: Scenario, system: NetworkEngine, step_budget: int):
         self.scenario = scenario
         self.system = system
         self.step_budget = step_budget
@@ -249,7 +248,7 @@ class _Runner:
         for rule in scenario.rules:
             if "on_receive" in rule.trigger:
                 self.receive_rules.setdefault(rule.actor, _ReceiveIndex()).add(rule)
-        system.network.on_delivered = self._on_delivered
+        system.on_delivered = self._on_delivered
 
     def _on_delivered(self, token: RoutedToken):
         index = self.receive_rules.get(token.destination_address)
@@ -372,8 +371,8 @@ def build_system(
     seed: Optional[int] = None,
     log_path: Optional[Path] = None,
     data_root: Optional[Path] = None,
-) -> PolicySystem:
-    system = PolicySystem(
+) -> NetworkEngine:
+    system = NetworkEngine(
         phases=scenario.phases,
         seed=scenario.seed if seed is None else seed,
         owner=scenario.owner,

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import CorruptLogError, TornLogError, UnknownDataIdError
 from .model import Address, DataRecord, content_hash, names_actor
@@ -215,8 +215,6 @@ class DataStore:
         self._log = log
         self._root = Path(root) if root else None
         self._records: dict[str, DataRecord] = {}
-        # Called with each record when it is first stored.
-        self.on_stored: Optional[Callable[[DataRecord], None]] = None
         if self._root is not None:
             self._root.mkdir(parents=True, exist_ok=True)
 
@@ -237,8 +235,6 @@ class DataStore:
             if not stored:
                 path.write_bytes(payload)
         self._log.append("data-stored", record.to_record(), record.timestamp)
-        if self.on_stored is not None:
-            self.on_stored(record)
         return record
 
     def get(self, data_id: str) -> DataRecord:

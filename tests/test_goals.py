@@ -479,6 +479,17 @@ class TestDecisions:
         with pytest.raises(AlreadyTerminatedError):
             system.decide_continuation(policy.policy_id, "terminate", by=OWNER)
 
+    def test_terminated_policy_takes_no_continue(self):
+        system = make_system()
+        policy = open_policy(system)
+        system.decide_continuation(policy.policy_id, "terminate", by=OWNER)
+        logged = len(system.log)
+        with pytest.raises(AlreadyTerminatedError):
+            system.decide_continuation(policy.policy_id, "continue", by=OWNER)
+        assert len(system.log) == logged
+        decisions = [rec.body["decision"] for rec in system.log.scan(event_kind="decision")]
+        assert decisions == ["policy-created", "terminate"]
+
     def test_only_owner_decides(self):
         system = make_system()
         policy = open_policy(system)

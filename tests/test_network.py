@@ -1,6 +1,7 @@
 """Controllers, sequencing, routing, dedup, and delivery receipts."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -57,15 +58,15 @@ class TestRegistry:
         with pytest.raises(ValueError):
             system.register_network(network_id)
             system.register_actor(network_id, actor_id)
-        assert "n/et" not in system.network.networks
-        assert "al/pha" not in system.network.networks["local-council"].actors
+        assert "n/et" not in system.networks
+        assert "al/pha" not in system.networks["local-council"].actors
 
     def test_registration_is_idempotent(self):
         system = make_system()
         system.register_network("local-council")
         system.register_actor("local-council", "safer-neighbourhood-team")
         system.link_networks("local-council", "citizens")
-        assert len(system.network.networks["local-council"].actors) == 4
+        assert len(system.networks["local-council"].actors) == 4
 
 
 class TestPolicyCreation:
@@ -102,6 +103,15 @@ class TestPolicyCreation:
         with pytest.raises(NoOwnerConfiguredError):
             system.notify_new_policy(record, Address("n", "a"))
 
+    def test_unregistered_submitter_opens_no_policy(self):
+        system = make_system()
+        ghost = Address("ghost", "nobody")
+        record = system.put_data(b"idea", ghost, "idea")
+        with pytest.raises(UnknownActorError):
+            system.notify_new_policy(record, ghost)
+        assert system.policies == {}
+        assert [rec.event_kind for rec in system.log] == ["data-stored"]
+
     def test_unstored_submission_rejected(self):
         from policyprov import DataRecord
 
@@ -109,6 +119,19 @@ class TestPolicyCreation:
         phantom = DataRecord("not-stored", b"", "note", COMMUNITY, 1)
         with pytest.raises(ValueError):
             system.notify_new_policy(phantom, COMMUNITY)
+
+
+def test_readme_library_example_opens_a_policy_with_one_goal():
+    """The README's `## Library` block, run as written."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    system, policy = namespace["system"], namespace["policy"]
+    assert policy.policy_id == "pol-1"
+    assert list(system.policies) == ["pol-1"]
+    assert len(system.goals.goals_for("pol-1")) == 1
 
 
 class TestSequencing:
@@ -247,7 +270,7 @@ class TestRouting:
                                      previous_task="t", previous_task_output="o",
                                      task_description="d")
         with pytest.raises(IntraNetworkRouteError):
-            system.network.route_external(token)
+            system.route_external(token)
 
     def test_receive_record_equals_the_send_record_without_sharing_it(self):
         system, policy = self.setup_run()
@@ -265,7 +288,7 @@ class TestRouting:
                                      previous_task="t", previous_task_output="o",
                                      task_description="d")
         fresh = replace(token, token_id="t-fresh")
-        assert system.network.route_external(fresh).outcome == "delivered"
+        assert system.route_external(fresh).outcome == "delivered"
         [receive] = [r for r in system.log.scan(event_kind="routed-token-receive")
                      if r.body["token_id"] == "t-fresh"]
         assert receive.body == fresh.to_record()
@@ -278,7 +301,7 @@ class TestRouting:
         assert first.outcome == "delivered"
         before_receives = len(system.log.scan(event_kind="routed-token-receive"))
         before_snapshot = system.goal_display_snapshot(policy.policy_id).goals
-        second = system.network.route_external(token)
+        second = system.route_external(token)
         assert second.outcome == "duplicate-ignored"
         assert len(system.log.scan(event_kind="routed-token-receive")) == before_receives
         assert system.goal_display_snapshot(policy.policy_id).goals == before_snapshot
@@ -322,7 +345,7 @@ def test_delivery_outcomes(destination, replay, outcome):
                                        previous_task="t", previous_task_output="o",
                                        task_description="d")
     if replay:
-        receipt = system.network.route_external(token)
+        receipt = system.route_external(token)
     assert receipt.outcome == outcome
     receipts = [r.body for r in system.log.scan(event_kind="receipt") if r.body["token_id"] == token.token_id]
     assert len(receipts) == 1 + replay

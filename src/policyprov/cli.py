@@ -1,7 +1,8 @@
 """Command-line entry point: run scenarios, query the log, export provenance.
 
 Exit codes: 0 success, 2 input/scenario errors (an unreadable or corrupt log,
-and any other policyprov error a run raises), 3 runaway scenario.
+an output that cannot be written, and any other policyprov error a run
+raises), 3 runaway scenario.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ def cmd_run(args) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.output or os.environ.get("POLICYPROV_OUT", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         trace = run(
             scenario,
             seed=args.seed,
@@ -36,16 +37,19 @@ def cmd_run(args) -> int:
             log_path=out_dir / "events.jsonl",
             data_root=out_dir / "data",
         )
+        (out_dir / "trace.txt").write_text(trace_report(trace), encoding="utf-8")
+        (out_dir / "goals.json").write_text(
+            json.dumps(trace.goal_snapshots, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
     except RunawayScenarioError as exc:
         print(f"runaway scenario: {exc}", file=sys.stderr)
         return 3
     except PolicyProvError as exc:
         print(f"run failed: {exc.code}: {exc}", file=sys.stderr)
         return 2
-    (out_dir / "trace.txt").write_text(trace_report(trace), encoding="utf-8")
-    (out_dir / "goals.json").write_text(
-        json.dumps(trace.goal_snapshots, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    except OSError as exc:  # the output directory or a file in it cannot be made or written
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(f"quiescent after {len(trace.offsets)} events; log hash {trace.log_hash}")
     return 0
 

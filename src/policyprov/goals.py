@@ -3,6 +3,9 @@
 Goal state is a fold over the event log's goal records, and `GoalBook.apply`
 is its one transition: the live engine applies each record it appends, and
 `fold_goal_state` applies the logged ones, so the two agree by construction.
+The engine checks goal content only; who may define or modify a goal is the
+network engine's one owner check. When an event satisfies a goal, the engine
+hands the goal and the event's actor to the notifier it was built with.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ from .errors import (
     DuplicateMetricError,
     EmptyMetricsError,
     LastMetricError,
-    NotOwnerError,
     UnknownGoalError,
     UnknownPhaseError,
 )
-from .model import Address, DataRecord, LocalToken, PolicyRef, TokenKind
+from .model import Address, DataRecord, LocalToken, TokenKind
 from .storage import EventLog, policy_ids
 
 
@@ -202,11 +204,11 @@ class GoalBook:
 class GoalEngine:
     """Goal Manager + Goal Display: definition and monitoring."""
 
-    def __init__(self, log: EventLog, phases: tuple[str, ...]):
+    def __init__(self, log: EventLog, phases: tuple[str, ...], notify: Callable[[Goal, Address], None]):
         self._log = log
         self.phases = tuple(phases)
-        # Called with (goal, event) when an event satisfies a goal's last metric.
-        self.on_goal_satisfied: Optional[Callable] = None
+        # Called with (goal, actor) when an event satisfies a goal's last metric.
+        self._notify = notify
         self._book = GoalBook()
         self._counter = 0
 
@@ -237,19 +239,17 @@ class GoalEngine:
                 return goal
         return next(reversed(goals), None)
 
-    # -- owner operations ------------------------------------------------
+    # -- owner operations (the caller has checked the owner) -------------
 
     def define_goal(
         self,
-        policy: PolicyRef,
+        policy_id: str,
         phase: str,
         name: str,
         metrics: list[Metric],
         by: Address,
         goal_id: Optional[str] = None,
     ) -> Goal:
-        if by != policy.owner:
-            raise NotOwnerError(f"{by} is not the owner of {policy.policy_id}")
         if not metrics:
             raise EmptyMetricsError(name)
         if phase not in self.phases:
@@ -258,18 +258,16 @@ class GoalEngine:
             self._counter += 1
             goal_id = f"g-{self._counter}"
         old = self._book.goals.get(goal_id)
-        if old is not None and old.policy_id != policy.policy_id:
+        if old is not None and old.policy_id != policy_id:
             raise DuplicateGoalError(f"{goal_id} already belongs to {old.policy_id}")
         _check_metric_ids(goal_id, metrics)
-        goal = Goal(goal_id, policy.policy_id, phase, name, metrics)
+        goal = Goal(goal_id, policy_id, phase, name, metrics)
         self._record("goal-defined", goal.to_record() | {"by": str(by)})
         return self._book.goals[goal_id]
 
-    def modify_goal(self, policy: PolicyRef, goal_id: str, change: dict, by: Address) -> Goal:
+    def modify_goal(self, policy_id: str, goal_id: str, change: dict, by: Address) -> Goal:
         """change: {"op": add-metric|remove-metric|replace-metric|rename, ...}."""
-        if by != policy.owner:
-            raise NotOwnerError(str(by))
-        goal = self.goal(goal_id, policy.policy_id)
+        goal = self.goal(goal_id, policy_id)
         op = change["op"]
         metrics, name = list(goal.metrics), goal.name
         if op == "add-metric":
@@ -296,26 +294,27 @@ class GoalEngine:
     def evaluate_event(self, event) -> None:
         """Match an appended token or data record against pending metrics.
 
-        An event delivers one canonical artifact: a local token's output, a
-        routed token's previous output or a data record's media hint. A token
-        meets only its own policy's goals; a data record meets every goal that
-        has named its artifact, in definition order.
+        An event has one actor and delivers one canonical artifact: a local
+        token's performer and output, a routed token's sender and previous
+        output, or a data record's creator and media hint. A token meets only
+        its own policy's goals; a data record meets every goal that has named
+        its artifact, in definition order.
         """
         book = self._book
         approver = None  # the sender of an approval response
         if isinstance(event, DataRecord):
-            artifact, satisfied_by = canonical_artifact(event.media_hint), event.data_id
+            actor, artifact, satisfied_by = event.created_by, canonical_artifact(event.media_hint), event.data_id
             goal_ids = sorted(book.by_artifact.get(artifact, ()), key=book.position.__getitem__)
             goals = [book.goals[goal_id] for goal_id in goal_ids]
         else:
             satisfied_by = event.token_id
             goals = list(book.by_policy.get(event.policy_id, {}).values())
             if isinstance(event, LocalToken):
-                artifact = canonical_artifact(event.task_output)
+                actor, artifact = event.who_carried_out, canonical_artifact(event.task_output)
             else:
-                artifact = canonical_artifact(event.previous_task_output)
+                actor, artifact = event.source_address, canonical_artifact(event.previous_task_output)
                 if event.kind is TokenKind.APPROVAL_RESPONSE:
-                    approver = event.source_address
+                    approver = actor
         for goal in goals:
             for metric in goal.metrics:
                 if metric.status is not MetricStatus.PENDING:
@@ -330,8 +329,8 @@ class GoalEngine:
                 self._record("metric-satisfied", ids | {"metric_id": metric.metric_id, "satisfied_by": satisfied_by})
                 if goal.all_satisfied():
                     self._record("goal-satisfied", ids)
-                if goal.status is GoalStatus.SATISFIED and self.on_goal_satisfied is not None:
-                    self.on_goal_satisfied(goal, event)
+                if goal.status is GoalStatus.SATISFIED:
+                    self._notify(goal, actor)
 
 
 def _check_metric_ids(goal_id: str, metrics: list[Metric]) -> None:

@@ -90,7 +90,6 @@ def names_actor(address: str, actor: str) -> bool:
 @dataclass
 class PolicyRef:
     policy_id: str
-    owner: Address
     status: PolicyStatus = PolicyStatus.ACTIVE
 
 

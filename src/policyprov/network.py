@@ -6,15 +6,17 @@ timestamps, goal/phase stamps), routes intra-network, and hands cross-network
 tokens to the connector pair. No routes are pre-allocated: the only routing
 state is the address books (registered actors and linked networks). The
 engine opens the policies, looks them up, and is the only writer of
-`decision` records and of a policy's status. Every stored datum and every
-token it creates or delivers goes to goal monitoring from here.
+`decision` records and of a policy's status. It holds the one policy owner
+and checks it in one place, `_owned`, for every goal change and decision.
+Every stored datum and every token it creates or delivers goes to goal
+monitoring from here.
 """
 
 from __future__ import annotations
 
 import random
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -60,13 +62,6 @@ class DeliveryReceipt:
         return {"token_id": self.token_id, "outcome": self.outcome, "at": self.at}
 
 
-@dataclass
-class Network:
-    network_id: str
-    actors: set = field(default_factory=set)
-    seq: dict = field(default_factory=dict)  # policy_id -> last issued
-
-
 class NetworkEngine:
     """One provenance-tracked policy environment (all networks, one log),
     exported as `policyprov.PolicySystem`."""
@@ -80,53 +75,57 @@ class NetworkEngine:
         data_root: Optional[Path] = None,
     ):
         self.log = EventLog(log_path)
-        self.store = DataStore(self.log, data_root)
-        self.goals = GoalEngine(self.log, tuple(phases))
+        try:
+            self.store = DataStore(self.log, data_root)
+        except OSError:  # the data root cannot be made: leave no log file open
+            self.log.close()
+            raise
+        self.goals = GoalEngine(self.log, tuple(phases), self._notify_goal_satisfied)
         self._rng = random.Random(seed)
         self.owner = owner
         self.policies: dict[str, PolicyRef] = {}  # in creation order
-        self.networks: dict[str, Network] = {}
+        self.networks: dict[str, set[str]] = {}  # network id -> its actor ids
         self.links: set[frozenset] = set()
+        # (network id, policy id) -> the last sequence number issued there.
+        self._seq: dict[tuple[str, str], int] = {}
         self._delivered: set[str] = set()
         # Simulation hook: called with each delivered RoutedToken.
         self.on_delivered: Optional[Callable[[RoutedToken], None]] = None
-        self.goals.on_goal_satisfied = self._notify_goal_satisfied
 
     # -- registry ---------------------------------------------------------
 
-    def register_network(self, network_id: str) -> Network:
+    def register_network(self, network_id: str) -> None:
         if not network_id or "/" in network_id:
             raise ValueError(f"network_id must be non-empty and hold no '/': {network_id!r}")
-        return self.networks.setdefault(network_id, Network(network_id))
+        self.networks.setdefault(network_id, set())
 
     def register_actor(self, network_id: str, actor_id: str) -> Address:
         if not actor_id or "/" in actor_id:
             raise ValueError(f"actor_id must be non-empty and hold no '/': {actor_id!r}")
-        self._network(network_id).actors.add(actor_id)
+        self._actors(network_id).add(actor_id)
         return Address(network_id, actor_id)
 
     def link_networks(self, a: str, b: str):
-        self._network(a)
-        self._network(b)
+        self._actors(a)
+        self._actors(b)
         self.links.add(frozenset((a, b)))
 
-    def _network(self, network_id: str) -> Network:
+    def _actors(self, network_id: str) -> set[str]:
         try:
             return self.networks[network_id]
         except KeyError:
             raise UnknownNetworkError(network_id) from None
 
     def is_registered(self, address: Address) -> bool:
-        net = self.networks.get(address.network_id)
-        return net is not None and address.actor_id in net.actors
+        return address.actor_id in self.networks.get(address.network_id, ())
 
     # -- sequencing and policies -------------------------------------------
 
     def _next_seq(self, network_id: str, policy_id: str) -> int:
         """Callers have checked the policy is active and the network registered."""
-        seq = self.networks[network_id].seq
-        seq[policy_id] = seq.get(policy_id, 0) + 1
-        return seq[policy_id]
+        key = (network_id, policy_id)
+        self._seq[key] = self._seq.get(key, 0) + 1
+        return self._seq[key]
 
     def notify_new_policy(self, submission: DataRecord, from_addr: Address):
         """Open a policy for a stored submission and notify the owner."""
@@ -138,7 +137,7 @@ class NetworkEngine:
         if notify:
             self._require_actor(from_addr)
         policy_id = f"pol-{len(self.policies) + 1}"
-        policy = self.policies[policy_id] = PolicyRef(policy_id, self.owner)
+        policy = self.policies[policy_id] = PolicyRef(policy_id)
         self._decision(policy_id, "policy-created", from_addr, data_reference=submission.data_id)
         token = receipt = None
         if notify:
@@ -156,9 +155,7 @@ class NetworkEngine:
     def decide_continuation(self, policy_id: str, decision: str, by: Address) -> PolicyRef:
         """The owner's decision to continue or terminate the policy; a
         terminated policy takes no further decision."""
-        policy = self.policy(policy_id)
-        if by != policy.owner:
-            raise NotOwnerError(str(by))
+        policy = self._owned(policy_id, by)
         if decision not in ("continue", "terminate"):
             raise UnknownDecisionError(f"{decision!r} is neither continue nor terminate")
         if policy.status is PolicyStatus.TERMINATED:
@@ -191,7 +188,7 @@ class NetworkEngine:
         goal_id: Optional[str] = None,
         phase_id: Optional[str] = None,
     ) -> LocalToken:
-        policy = self._active_policy(policy_id)
+        self._require_active(policy_id)
         self._require_actor(actor)
         goal_id, phase_id = self._stamp(policy_id, goal_id, phase_id)
         token = LocalToken(
@@ -207,7 +204,7 @@ class NetworkEngine:
             nature_of_task_output=nature_of_task_output,
             task_description=task_description,
             who_carried_out=actor,
-            nature_of_stakeholders=self._stakeholder_nature(actor, policy),
+            nature_of_stakeholders=self._stakeholder_nature(actor),
             data_details=data_details or task_input,
             source_of_evidence=source_of_evidence or task_input,
             timestamp=self.log.tick(),
@@ -238,7 +235,7 @@ class NetworkEngine:
         goal_id: Optional[str] = None,
         phase_id: Optional[str] = None,
     ) -> tuple[RoutedToken, DeliveryReceipt]:
-        policy = self._active_policy(policy_id)
+        self._require_active(policy_id)
         self._require_actor(actor)
         if destination == actor:
             raise SelfDestinationError("self-messaging must use a local token")
@@ -255,7 +252,7 @@ class NetworkEngine:
             task_description=task_description,
             required_action=required_action,
             communication_pattern=communication_pattern,
-            nature_of_stakeholders=self._stakeholder_nature(destination, policy),
+            nature_of_stakeholders=self._stakeholder_nature(destination),
             data_details=data_details or task_description,
             source_of_evidence=source_of_evidence or previous_task,
             communication_with=destination,
@@ -322,10 +319,12 @@ class NetworkEngine:
         return record
 
     def define_goal(self, policy_id, phase, name, metrics, by, goal_id=None):
-        return self.goals.define_goal(self.policy(policy_id), phase, name, metrics, by, goal_id)
+        self._owned(policy_id, by)
+        return self.goals.define_goal(policy_id, phase, name, metrics, by, goal_id)
 
     def modify_goal(self, policy_id, goal_id, change, by):
-        return self.goals.modify_goal(self.policy(policy_id), goal_id, change, by)
+        self._owned(policy_id, by)
+        return self.goals.modify_goal(policy_id, goal_id, change, by)
 
     def goal_display_snapshot(self, policy_id, upto=None) -> GoalDisplaySnapshot:
         """The policy's goals as folded from the log up to offset `upto`; see `goal_snapshots`."""
@@ -336,17 +335,17 @@ class NetworkEngine:
 
     # -- goal-satisfaction notifications ---------------------------------------
 
-    def _notify_goal_satisfied(self, goal, event):
-        """Emit a notification token to the policy owner (first-class token).
-        A terminated policy takes no tokens, so it is not notified."""
+    def _notify_goal_satisfied(self, goal, source: Address):
+        """Emit a notification token from the event's actor to the policy
+        owner (first-class token). A terminated policy takes no tokens, so it
+        is not notified."""
         policy = self.policies[goal.policy_id]
-        source = _event_actor(event)
-        if policy.status is PolicyStatus.TERMINATED or source == policy.owner or not self.is_registered(source):
+        if policy.status is PolicyStatus.TERMINATED or source == self.owner or not self.is_registered(source):
             return
         self.send_token(
             source,
             goal.policy_id,
-            destination=policy.owner,
+            destination=self.owner,
             kind=TokenKind.NOTIFICATION,
             task_description=f"goal satisfied: {goal.name}",
             goal_id=goal.goal_id,
@@ -361,11 +360,16 @@ class NetworkEngine:
         except KeyError:
             raise UnknownPolicyError(str(policy_id)) from None
 
-    def _active_policy(self, policy_id: str) -> PolicyRef:
+    def _owned(self, policy_id: str, by: Address) -> PolicyRef:
+        """The policy, if `by` is its owner: the one owner check."""
         policy = self.policy(policy_id)
-        if policy.status is PolicyStatus.TERMINATED:
-            raise TerminatedPolicyError(policy_id)
+        if by != self.owner:
+            raise NotOwnerError(f"{by} is not the owner of {policy_id}")
         return policy
+
+    def _require_active(self, policy_id: str):
+        if self.policy(policy_id).status is PolicyStatus.TERMINATED:
+            raise TerminatedPolicyError(policy_id)
 
     def _require_actor(self, actor: Address):
         if not self.is_registered(actor):
@@ -381,8 +385,8 @@ class NetworkEngine:
             return current.goal_id, phase_id or current.phase_id
         return "", phase_id or (self.goals.phases[0] if self.goals.phases else "")
 
-    def _stakeholder_nature(self, actor: Address, policy: PolicyRef) -> StakeholderNature:
-        if actor.network_id == policy.owner.network_id:
+    def _stakeholder_nature(self, actor: Address) -> StakeholderNature:
+        if actor.network_id == self.owner.network_id:
             return StakeholderNature.INTERNAL
         return StakeholderNature.EXTERNAL
 
@@ -391,12 +395,3 @@ class NetworkEngine:
 
     def close(self):
         self.log.close()
-
-
-def _event_actor(event) -> Address:
-    """Who carried out an evaluated event: a token or a data record."""
-    if isinstance(event, LocalToken):
-        return event.who_carried_out
-    if isinstance(event, RoutedToken):
-        return event.source_address
-    return event.created_by

@@ -84,11 +84,11 @@ class EventLog:
         # Running SHA-256 over the JSON lines of the first `_hashed` records.
         self._digest = hashlib.sha256()
         self._hashed = 0
-        self._path = Path(path) if path else None
         self._fh = None
-        if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self._path.open("wb")
+        if path:
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = path.open("wb")
 
     def tick(self) -> int:
         """The next logical time; each record is appended at a fresh one."""
@@ -178,7 +178,7 @@ class EventLog:
                     continue
                 try:
                     raw = json.loads(text.decode("utf-8"))
-                except ValueError:  # not UTF-8, or not JSON
+                except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep to parse
                     if not line.endswith(b"\n"):
                         raise TornLogError(f"line {number}: torn last line, cut off before its newline") from None
                     raise CorruptLogError(f"line {number}: not UTF-8 JSON") from None

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import CorruptLogError, UnknownPolicyError
 from .model import Address, LocalToken, RoutedToken, TokenKind
-from .storage import EventLog, policy_ids
+from .storage import EventLog
 
 
 def activity_id_for(token: LocalToken) -> str:
@@ -128,13 +128,14 @@ def _last_at(entry, at: int) -> Optional[LocalToken]:
 def views_of(log: EventLog, wanted) -> dict:
     """One view per wanted policy, from a single pass over the log."""
     found = {pid: ([], [], {}) for pid in wanted}
-    kept = []  # the wanted policies' records
+    named = set()  # the wanted policies some record names
     addresses: dict = {}  # each distinct address text of this call, parsed once
     for rec in log:
-        parts = found.get(rec.body.get("policy_id"))
+        policy_id = rec.body.get("policy_id")
+        parts = found.get(policy_id)
         if parts is None:
             continue
-        kept.append(rec)
+        named.add(policy_id)
         try:
             if rec.event_kind == "local-token":
                 parts[0].append(LocalToken.from_record(rec.body, addresses))
@@ -144,7 +145,6 @@ def views_of(log: EventLog, wanted) -> dict:
                 parts[2][rec.body["token_id"]] = rec.logical_time
         except (KeyError, TypeError, ValueError) as exc:  # a field missing, extra or of a bad type or value
             raise CorruptLogError(f"offset {rec.offset}: {rec.event_kind} body is not a token: {exc!r}") from None
-    named = set(policy_ids(kept))
     for pid in found:
         if pid not in named:
             raise UnknownPolicyError(pid)

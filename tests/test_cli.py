@@ -190,6 +190,17 @@ class TestRun:
                      "-o", str(tmp_path / "o"), "--step-budget", "1"])
         assert code == 3
 
+    @pytest.mark.parametrize("out", ["file", "file/sub", "."], ids=["output-is-a-file", "output-under-a-file",
+                                                                 "data-dir-is-a-file"])
+    def test_output_that_cannot_be_made_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("taken")
+        (tmp_path / "data").write_text("taken")
+        assert main(["run", str(fixture_path("pattern_sequential")), "-o", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == "taken"
+
 
 class TestQuery:
     def test_filters_are_a_conjunction(self, run_dir, capsys):
@@ -227,7 +238,8 @@ class TestQuery:
 @pytest.mark.parametrize("command", [["query"], ["export", "--prov", "-o", "x.json"]])
 @pytest.mark.parametrize("bad", [b'{"offset":0}', b"[1,2]", b'{"offset":', b"\xff\xfe",
                                  b'{"offset":0,"event_kind":"decision","logical_time":1,"body":[]}',
-                                 b'{"offset":0,"event_kind":"bogus","logical_time":1,"body":{}}'])
+                                 b'{"offset":0,"event_kind":"bogus","logical_time":1,"body":{}}',
+                                 pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-too-deep")])
 def test_corrupt_log_exits_2(tmp_path, monkeypatch, capsys, command, bad):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "events.jsonl").write_bytes(bad + b"\n")

@@ -59,14 +59,14 @@ class TestRegistry:
             system.register_network(network_id)
             system.register_actor(network_id, actor_id)
         assert "n/et" not in system.networks
-        assert "al/pha" not in system.networks["local-council"].actors
+        assert "al/pha" not in system.networks["local-council"]
 
     def test_registration_is_idempotent(self):
         system = make_system()
         system.register_network("local-council")
         system.register_actor("local-council", "safer-neighbourhood-team")
         system.link_networks("local-council", "citizens")
-        assert len(system.networks["local-council"].actors) == 4
+        assert len(system.networks["local-council"]) == 4
 
 
 class TestPolicyCreation:

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policyprov
@@ -74,6 +74,7 @@ class TestEventLog:
         b'{"offset":0}', b'{"offset":1,"event_kind":"decision","logical_time":2}',
         b"[1,2]", b'{"offset":', b"\xff\xfe", b'{"offset":0,"event_kind":"decision","logical_time":1,"body":[]}',
         b'{"offset":0,"event_kind":"bogus","logical_time":1,"body":{}}',
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-too-deep"),
     ])
     def test_malformed_line_raises_naming_the_line(self, tmp_path, bad):
         path = tmp_path / "events.jsonl"
@@ -174,6 +175,48 @@ class TestEventLog:
         log.append("decision", {"b": 1, "a": 2}, 1)
         parsed = json.loads(log[0].to_json())
         assert list(parsed) == sorted(parsed)
+
+
+# The lines of the `pattern_sequential` run's events.jsonl.
+FUZZ_LINES = [(rec.to_json() + "\n").encode("utf-8")
+              for rec in run(load_scenario(fixture_path("pattern_sequential"))).log]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def spoiled_line(draw, line: bytes) -> bytes:
+    """The line cut short, or replaced by bytes, text, a JSON value, or its record with one key's value redrawn."""
+    how = draw(st.sampled_from(["cut", "bytes", "text", "json", "record"]))
+    if how == "cut":
+        return line[: draw(st.integers(0, len(line) - 1))]
+    if how == "bytes":
+        return draw(st.binary(max_size=120))
+    if how == "text":
+        return draw(st.text(max_size=120)).encode("utf-8")
+    if how == "json":
+        return json.dumps(draw(JSON_VALUES)).encode("utf-8") + b"\n"
+    raw = json.loads(line)
+    where = draw(st.sampled_from([raw, raw["body"]]))
+    where[draw(st.sampled_from(sorted(where)))] = draw(JSON_VALUES)
+    return json.dumps(raw).encode("utf-8") + b"\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_of_a_log_with_one_spoiled_line_returns_or_raises_corrupt_log_error(tmp_path_factory, data):
+    i = data.draw(st.integers(0, len(FUZZ_LINES) - 1))
+    lines = list(FUZZ_LINES)
+    lines[i] = data.draw(spoiled_line(lines[i]))
+    path = tmp_path_factory.getbasetemp() / "spoiled.jsonl"
+    path.write_bytes(b"".join(lines))
+    try:
+        EventLog.load(path)
+    except CorruptLogError:
+        pass
 
 
 def full_hash(log) -> str:

@@ -83,8 +83,14 @@ def cmd_query(args) -> int:
         event_kind=args.kind,
         offset_range=offset_range,
     )
-    for rec in records:
-        print(rec.to_json())
+    try:
+        for rec in records:
+            print(rec.to_json())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`). Point stdout at devnull, so
+        # that the flush at exit does not raise again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

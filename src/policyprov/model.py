@@ -2,6 +2,9 @@
 
 Every type is an immutable value and serializes to a flat JSON object with
 snake_case keys; that flat form is the event-log record format.
+
+A token class's dataclass declaration is the one statement of its fields; the
+`_FieldTable` read from it drives encoding, decoding and both validators.
 """
 
 from __future__ import annotations
@@ -82,11 +85,6 @@ class Address:
         return cls(network_id, actor_id)
 
 
-def names_actor(address: str, actor: str) -> bool:
-    """Whether `actor`, a full "network/actor" address or a bare actor id, names `address`."""
-    return address == actor or address.rpartition("/")[2] == actor
-
-
 @dataclass
 class PolicyRef:
     policy_id: str
@@ -116,9 +114,7 @@ class LocalToken:
     data_reference: Optional[str] = None
 
     def to_record(self) -> dict:
-        rec = _flatten(self)
-        rec["who_carried_out"] = str(self.who_carried_out)
-        return rec
+        return _encode(self)
 
     @classmethod
     def from_record(cls, rec: dict, addresses: Optional[dict] = None) -> "LocalToken":
@@ -152,10 +148,7 @@ class RoutedToken:
     data_reference: Optional[str] = None
 
     def to_record(self) -> dict:
-        rec = _flatten(self)
-        for key in ("communication_with", "source_address", "destination_address"):
-            rec[key] = str(getattr(self, key))
-        return rec
+        return _encode(self)
 
     @classmethod
     def from_record(cls, rec: dict, addresses: Optional[dict] = None) -> "RoutedToken":
@@ -187,8 +180,13 @@ def content_hash(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+# What a field of each declared type may hold, by exact type (a bool is no int);
+# an enum or `Address` field holds only its own type. Decoding and validation share it.
+_HOLDS = {int: (int,), str: (str,), Optional[str]: (str, type(None))}
+
+
 class _FieldTable:
-    """How a token class decodes its flat record, read once from its dataclass fields."""
+    """A token class's fields, their order and types, read once from its dataclass declaration."""
 
     def __init__(self, cls):
         hints = get_type_hints(cls)
@@ -197,18 +195,30 @@ class _FieldTable:
         self.defaults = {f.name: f.default for f in fields(cls)}
         names = list(self.defaults)
         self.required = frozenset(n for n, default in self.defaults.items() if default is MISSING)
+        # Each field with the types it may hold; `typed` keeps those a record holds
+        # as they are (`timestamp` orders a token, `seq_num` names its activity).
+        self.holds = tuple((n, _HOLDS.get(hints[n], (hints[n],))) for n in names)
+        self.typed = tuple((n, _HOLDS[hints[n]]) for n in names if hints[n] in _HOLDS)
         self.text = tuple(n for n in names if hints[n] is str)
-        self.optional_text = tuple(n for n in names if hints[n] == Optional[str])
-        # `timestamp` orders a token and `seq_num` names its activity.
-        self.ints = tuple(n for n in names if hints[n] is int)
         self.addresses = tuple(n for n in names if hints[n] is Address)
         self.enums = tuple(
             (n, hints[n], {member.value: member for member in hints[n]})
             for n in names if isinstance(hints[n], type) and issubclass(hints[n], Enum)
         )
-        covered = {*self.text, *self.optional_text, *self.ints, *self.addresses, *(n for n, _, _ in self.enums)}
+        covered = {*(n for n, _ in self.typed), *self.addresses, *(n for n, _, _ in self.enums)}
         if covered != set(names):
             raise TypeError(f"{cls.__name__} fields of no known type: {sorted(set(names) - covered)}")
+
+
+def _encode(token) -> dict:
+    """The token's record: fields in declaration order (as `vars` holds them), enums as values, addresses as text."""
+    table = _TABLES[type(token)]
+    rec = vars(token).copy()
+    for name, _, _ in table.enums:
+        rec[name] = rec[name].value
+    for name in table.addresses:
+        rec[name] = str(rec[name])
+    return rec
 
 
 def _decode(cls, rec: dict, addresses: Optional[dict]):
@@ -217,9 +227,8 @@ def _decode(cls, rec: dict, addresses: Optional[dict]):
     passes one dict so that each distinct text is parsed once.
 
     Raises `ValueError` for a missing or extra field, a bad enum value or a bad
-    address, and `TypeError` for a field of the wrong JSON type: an int field
-    holding anything but an int (a bool included), a text field anything but
-    a string, an optional text field anything but a string or null.
+    address, and `TypeError` for the first int or text field holding a type
+    `_HOLDS` does not allow, or an address that is not text.
     """
     table = _TABLES[cls]
     values = dict(table.defaults)
@@ -230,15 +239,9 @@ def _decode(cls, rec: dict, addresses: Optional[dict]):
     if len(values) != len(table.defaults) or (len(rec) != len(values) and not table.required <= rec.keys()):
         missing, unknown = sorted(table.required - rec.keys()), sorted(rec.keys() - table.defaults.keys())
         raise ValueError(f"missing fields {missing}, unknown fields {unknown}")
-    for name in table.ints:
-        if type(values[name]) is not int:
-            raise TypeError(f"{name} is not an integer: {values[name]!r}")
-    for name in table.text:
-        if type(values[name]) is not str:
-            raise TypeError(f"{name} is not text: {values[name]!r}")
-    for name in table.optional_text:
-        if values[name] is not None and type(values[name]) is not str:
-            raise TypeError(f"{name} is neither text nor null: {values[name]!r}")
+    for name, holds in table.typed:
+        if type(values[name]) not in holds:
+            raise TypeError(f"{name} may not hold {values[name]!r}")
     for name, enum_cls, members in table.enums:
         member = members.get(values[name])
         if member is None:
@@ -261,16 +264,6 @@ def _decode(cls, rec: dict, addresses: Optional[dict]):
     return token
 
 
-def _flatten(obj) -> dict:
-    """The dataclass's fields in declaration order (its `__init__` sets them
-    in that order), each enum member replaced by its value."""
-    rec = vars(obj).copy()
-    for name, value in rec.items():
-        if isinstance(value, Enum):
-            rec[name] = value.value
-    return rec
-
-
 _TABLES = {cls: _FieldTable(cls) for cls in (LocalToken, RoutedToken)}
 
 
@@ -280,69 +273,39 @@ class TokenValidation:
     violations: list = field(default_factory=list)
 
 
-_LOCAL_MANDATORY = (
-    "token_id",
-    "policy_id",
-    "phase_id",
-    "goal_id",
-    "task",
-    "task_input",
-    "task_output",
-    "task_description",
-    "data_details",
-    "source_of_evidence",
-)
+# A notification is controller plumbing and may precede any goal or task, so
+# it must fill only these of the text fields, which every other token fills.
+_NOTIFICATION_MANDATORY = ("token_id", "policy_id", "task_description")
 
 
-def _not_text(token, table: _FieldTable) -> list:
-    """The token's text fields that hold no string, and its optional ones that hold neither a string nor None."""
+def _violations(token, mandatory) -> list:
+    """The fields holding a type their declaration does not allow, in field
+    order, then the `mandatory` fields left empty, then `seq_num` below 1."""
     values = vars(token)
     violations = []
-    for name in table.text:
-        if not isinstance(values[name], str):
+    for name, holds in _TABLES[type(token)].holds:
+        if type(values[name]) not in holds:
             violations.append(name)
-    for name in table.optional_text:
-        if values[name] is not None and not isinstance(values[name], str):
+    for name in mandatory:
+        if not values[name] and name not in violations:
             violations.append(name)
+    if "seq_num" not in violations and token.seq_num < 1:
+        violations.append("seq_num")
     return violations
 
 
 def validate_local_token(token: LocalToken) -> TokenValidation:
     """Check the local-token template invariants; never raises."""
-    violations = _not_text(token, _TABLES[LocalToken])
-    for name in _LOCAL_MANDATORY:
-        if not getattr(token, name) and name not in violations:
-            violations.append(name)
-    if token.seq_num < 1:
-        violations.append("seq_num")
+    violations = _violations(token, _TABLES[LocalToken].text)
     return TokenValidation(not violations, violations)
-
-
-_ROUTED_MANDATORY = ("token_id", "policy_id", "task_description")
-# Notification tokens are controller plumbing and may precede any goal or task,
-# so goal/phase/previous-task slots are only mandatory for the other kinds.
-_ROUTED_TASK_MANDATORY = (
-    "phase_id",
-    "goal_id",
-    "previous_task",
-    "previous_task_output",
-    "data_details",
-    "source_of_evidence",
-)
 
 
 def validate_routed_token(token: RoutedToken) -> TokenValidation:
     """Check the routed-token template invariants; never raises."""
-    violations = _not_text(token, _TABLES[RoutedToken])
-    for name in _ROUTED_MANDATORY:
-        if not getattr(token, name) and name not in violations:
-            violations.append(name)
+    mandatory = _NOTIFICATION_MANDATORY
     if token.kind is not TokenKind.NOTIFICATION:
-        for name in _ROUTED_TASK_MANDATORY:
-            if not getattr(token, name) and name not in violations:
-                violations.append(name)
-    if token.seq_num < 1:
-        violations.append("seq_num")
+        mandatory += _TABLES[RoutedToken].text  # a field named twice is reported once
+    violations = _violations(token, mandatory)
     if token.source_address == token.destination_address:
         violations.append("addresses")
     if token.communication_with != token.destination_address:

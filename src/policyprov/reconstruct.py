@@ -20,7 +20,7 @@ from itertools import groupby
 from typing import Optional
 
 from .errors import UnknownPhaseError
-from .model import CommunicationPattern, RoutedToken, TokenKind, names_actor
+from .model import CommunicationPattern, RoutedToken, TokenKind
 from .storage import EventLog, policy_ids
 from .view import PolicyView, activity_id_for, view_of, views_of
 
@@ -130,16 +130,15 @@ def reconstruct_process(
     return _graph(view_of(log, policy_id), phase_order, include_notifications)
 
 
-def _graph(view: PolicyView, phase_order=None, include_notifications=False, keep=None) -> ProcessGraph:
-    """With `keep`, only the nodes it accepts and the edges between those (the induced subgraph)."""
+def _graph(view: PolicyView, phase_order=None, include_notifications=False, token_ids=None) -> ProcessGraph:
+    """With `token_ids`, only those local tokens' activities and the edges between them (the induced subgraph)."""
     graph = ProcessGraph(view.policy_id)
     for t in view.locals:
-        node = ProcessNode(
-            activity_id_for(t), str(t.who_carried_out), t.task, t.phase_id, t.goal_id, t.seq_num, t.timestamp
-        )
-        if keep is None or keep(node):
-            graph.nodes.append(node)
-    kept = None if keep is None else {node.node_id for node in graph.nodes}
+        if token_ids is None or t.token_id in token_ids:
+            graph.nodes.append(ProcessNode(
+                activity_id_for(t), str(t.who_carried_out), t.task, t.phase_id, t.goal_id, t.seq_num, t.timestamp
+            ))
+    kept = None if token_ids is None else {node.node_id for node in graph.nodes}
     found = []
     for token in view.sends if kept is None or kept else ():
         if token.token_id not in view.receives:
@@ -201,24 +200,14 @@ def query(
     phase_id: Optional[str] = None,
     actor: Optional[str] = None,
 ) -> QueryResult:
-    """Scan-and-filter over the log plus the induced subgraph of matches."""
+    """Scan-and-filter over the log plus the subgraph its local-token matches induce."""
     events = log.scan(policy_id=policy_id, goal_id=goal_id, phase_id=phase_id, actor=actor)
     policies = sorted(policy_ids(events))
-
-    def keep(node: ProcessNode) -> bool:
-        return (
-            (goal_id is None or node.goal_id == goal_id)
-            and (phase_id is None or node.phase_id == phase_id)
-            and (actor is None or names_actor(node.actor, actor))
-        )
-
-    nodes: list[ProcessNode] = []
-    edges: list[ProcessEdge] = []
-    views = views_of(log, policies)
-    for pid in policies:
-        graph = _graph(views[pid], keep=keep)
-        nodes.extend(graph.nodes)
-        edges.extend(graph.edges)
+    views = views_of(log, policies)  # decodes, so checks, every matched record
+    matched = {rec.body["token_id"] for rec in events if rec.event_kind == "local-token"}
+    graphs = [_graph(views[pid], token_ids=matched) for pid in policies]
+    nodes = [node for graph in graphs for node in graph.nodes]
+    edges = [edge for graph in graphs for edge in graph.edges]
     return QueryResult(events, ProcessGraph(policy_id or ",".join(policies), nodes, edges))
 
 

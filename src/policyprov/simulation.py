@@ -8,17 +8,17 @@ byte-identical event log.
 
 from __future__ import annotations
 
-import inspect
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 from .errors import RunawayScenarioError, ScenarioError, UnknownPolicyError
 from .goals import Metric, MetricKind, goal_snapshots
-from .model import Address, ArtifactNature, CommunicationPattern, RoutedToken, TokenKind
+from .model import DEFAULT_PHASES, Address, RoutedToken
 from .network import NetworkEngine
 from .storage import EventLog
 
@@ -84,10 +84,14 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             raise ScenarioError(f"cannot read scenario: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ScenarioError("the scenario is not a JSON object")
 
     networks: dict[str, list[str]] = {}
-    for net in raw.get("networks", []):
-        network_id, actors = net.get("id"), net.get("actors", [])
+    for net in _shaped(raw.get("networks", []), list, "networks"):
+        net = _shaped(net, dict, "network")
+        network_id = net.get("id")
+        actors = _shaped(net.get("actors", []), list, "network {!r}: actors", network_id)
         # An address is "network/actor", so neither id may hold a "/".
         for text in (network_id, *actors):
             if not isinstance(text, str) or not text or "/" in text:
@@ -98,7 +102,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             raise ScenarioError(f"duplicate network id {network_id}")
         networks[network_id] = list(actors)
 
-    phases = tuple(raw.get("phases", ("agenda-setting", "analysis")))
+    phases = tuple(raw.get("phases", DEFAULT_PHASES))
     declared = {f"{n}/{a}" for n, actors in networks.items() for a in actors}
 
     def resolve(text, context: str) -> str:
@@ -112,42 +116,41 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         owner = Address.parse(resolve(raw["owner"], "owner"))
 
     goal_defs = {}
-    for ref, spec in raw.get("goals", {}).items():
+    for ref, spec in _shaped(raw.get("goals", {}), dict, "goals").items():
+        spec = _shaped(spec, dict, "goal {}", ref)
         for key in ("goal_id", "name"):
             if key not in spec:
                 raise ScenarioError(f"goal {ref} has no {key}")
         if spec.get("phase") not in phases:
             raise ScenarioError(f"goal {ref} uses unknown phase {spec.get('phase')}")
-        for metric in spec.get("metrics", []):
-            kind = metric.get("kind")
+        metrics = _shaped(spec.get("metrics", []), list, "goal {}: metrics", ref)
+        for metric in metrics:
+            kind = _shaped(metric, dict, "goal {}: metric", ref).get("kind")
             if kind == "approval":
                 resolve(metric.get("approver"), f"goal {ref}")
             elif kind != "artifact-delivery" or not metric.get("artifact"):
                 raise ScenarioError(f"goal {ref}: metric {metric} is neither an approval nor an artifact delivery")
-        metric_ids = [metric["metric_id"] for metric in spec.get("metrics", []) if "metric_id" in metric]
+        metric_ids = [metric["metric_id"] for metric in metrics if "metric_id" in metric]
         if len(set(metric_ids)) != len(metric_ids):
             raise ScenarioError(f"goal {ref} has two metrics of one id: {metric_ids}")
         goal_defs[ref] = spec
 
     rules: list[Rule] = []
-    for behavior in raw.get("behaviors", []):
+    for behavior in _shaped(raw.get("behaviors", []), list, "behaviors"):
+        behavior = _shaped(behavior, dict, "behavior")
         actor = Address.parse(resolve(behavior.get("actor"), "behaviors"))
         where = f"rule for {actor}"
-        for rule_raw in behavior.get("rules", []):
-            trigger = rule_raw.get("trigger", {})
+        for rule_raw in _shaped(behavior.get("rules", []), list, "{}: rules", where):
+            trigger = _shaped(rule_raw, dict, "{}", where).get("trigger", {})
             if not isinstance(trigger, dict) or ("on_receive" not in trigger and "at_time" not in trigger):
                 raise ScenarioError(f"rule for {actor} has no trigger")
             if "at_time" in trigger and type(trigger["at_time"]) is not int:
                 raise ScenarioError(f"rule for {actor}: at_time {trigger['at_time']!r} is not an integer")
-            on_receive = trigger.get("on_receive", {})
-            if not isinstance(on_receive, dict):
-                raise ScenarioError(f"rule for {actor}: on_receive {on_receive!r} is not an object")
+            on_receive = _shaped(trigger.get("on_receive", {}), dict, "{}: on_receive", where)
             for value in on_receive.values():
                 if not isinstance(value, str):
                     raise ScenarioError(f"rule for {actor}: on_receive value {value!r} is not a string")
-            actions = rule_raw.get("actions", [])
-            if not isinstance(actions, list):
-                raise ScenarioError(f"rule for {actor}: actions {actions!r} is not a list")
+            actions = _shaped(rule_raw.get("actions", []), list, "{}: actions", where)
             if "policy" in trigger:
                 if "at_time" not in trigger:
                     raise ScenarioError(f"rule for {actor} names a policy without an at_time trigger")
@@ -156,9 +159,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             if "from" in on_receive:
                 resolve(on_receive["from"], where)
             for action in actions:
-                if not isinstance(action, dict):
-                    raise ScenarioError(f"rule for {actor}: action {action!r} is not an object")
-                do = action.get("do")
+                do = _shaped(action, dict, "{}: action", where).get("do")
                 try:
                     enum_values = _ACTIONS[do]
                 except (KeyError, TypeError):  # TypeError: a `do` such as a list, which no key equals
@@ -167,15 +168,18 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                     resolve(action.get("to"), where)
                 elif do == "define_goal" and action.get("goal") not in goal_defs:
                     raise ScenarioError(f"rule for {actor} references unknown goal {action.get('goal')}")
-                for key, values in enum_values:
+                for key, enum, values in enum_values:
                     if key in action and not (isinstance(action[key], str) and action[key] in values):
-                        raise ScenarioError(f"rule for {actor}: {action[key]!r} is not a valid {_ENUMS[key].__name__}")
+                        raise ScenarioError(f"rule for {actor}: {action[key]!r} is not a valid {enum.__name__}")
             rules.append(
                 Rule(actor, trigger, list(actions), rule_raw.get("once", True), len(rules))
             )
 
     links = []
-    for a, b in raw.get("links", []):
+    for link in _shaped(raw.get("links", []), list, "links"):
+        if not isinstance(link, list) or [type(end) for end in link] != [str, str]:
+            raise ScenarioError(f"link {link!r} is not a pair of network ids")
+        a, b = link
         if a not in networks or b not in networks:
             raise ScenarioError(f"link references unknown network: {a} <-> {b}")
         links.append((a, b))
@@ -191,6 +195,13 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         seed=raw.get("seed", 0),
         expected=raw.get("expected", {}),
     )
+
+
+def _shaped(value, kind: type, what: str, context=None):
+    """`value`, which must be a `kind`, dict or list; an error names it `what.format(context)`."""
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{what.format(context)} {value!r} is not {'an object' if kind is dict else 'a list'}")
+    return value
 
 
 def _metrics_from(spec: dict) -> list[Metric]:
@@ -318,10 +329,10 @@ class _Runner:
             elif do == "local_token":
                 task = action.get("task", "")  # a missing task fails the engine's token validation
                 defaults = {"task": task, "task_input": "", "task_output": "", "task_description": task}
-                system.create_local_token(rule.actor, policy_id, **defaults | _token_fields(action, _LOCAL_KEYS))
+                system.create_local_token(rule.actor, policy_id, **defaults | _token_fields(action, _TOKEN_KEYS[do]))
             elif do == "send_token":
                 destination = Address.parse(action["to"])
-                system.send_token(rule.actor, policy_id, destination, **_token_fields(action, _SEND_KEYS))
+                system.send_token(rule.actor, policy_id, destination, **_token_fields(action, _TOKEN_KEYS[do]))
             elif do == "decide":
                 system.decide_continuation(policy_id, action.get("decision"), by=rule.actor)
             else:
@@ -329,25 +340,25 @@ class _Runner:
 
 
 # The token fields a scenario action may set: the engine methods' own keyword
-# arguments, those that hold an enum given as the value's string.
-_LOCAL_KEYS, _SEND_KEYS = (
-    frozenset(inspect.signature(method).parameters) - {"self", "actor", "policy_id", "destination"}
-    for method in (NetworkEngine.create_local_token, NetworkEngine.send_token)
-)
-_ENUMS = {"kind": TokenKind, "communication_pattern": CommunicationPattern,
-          "nature_of_task_input": ArtifactNature, "nature_of_task_output": ArtifactNature}
+# arguments, each with its enum type if it has one (given as the value's
+# string) and None if not.
+_TOKEN_KEYS = {
+    do: {key: hint if isinstance(hint, type) and issubclass(hint, Enum) else None
+         for key, hint in get_type_hints(method).items() if key not in ("actor", "policy_id", "destination", "return")}
+    for do, method in (("local_token", NetworkEngine.create_local_token), ("send_token", NetworkEngine.send_token))
+}
 # The actions a rule may take (`load_scenario` refuses any other `do`), each
-# with the enum keys it takes and the values each accepts: `load_scenario`
-# checks those, so that `_token_fields` converts without fail.
+# with its enum keys and the values each accepts: `load_scenario` checks
+# those, so that `_token_fields` converts without fail.
 _ACTIONS = {do: () for do in ("submit_policy", "put_data", "define_goal", "decide")} | {
-    do: tuple((key, frozenset(member.value for member in _ENUMS[key])) for key in _ENUMS if key in keys)
-    for do, keys in (("local_token", _LOCAL_KEYS), ("send_token", _SEND_KEYS))
+    do: tuple((key, enum, frozenset(member.value for member in enum)) for key, enum in keys.items() if enum)
+    for do, keys in _TOKEN_KEYS.items()
 }
 
 
-def _token_fields(action: dict, keys: frozenset[str]) -> dict:
+def _token_fields(action: dict, keys: dict) -> dict:
     """The action's keys that `keys` names, enum values converted; other keys are ignored."""
-    return {key: _ENUMS[key](value) if key in _ENUMS else value for key, value in action.items() if key in keys}
+    return {key: keys[key](value) if keys[key] else value for key, value in action.items() if key in keys}
 
 
 def run(

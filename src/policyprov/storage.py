@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .errors import CorruptLogError, TornLogError, UnknownDataIdError
-from .model import Address, DataRecord, content_hash, names_actor
+from .model import Address, DataRecord, content_hash
 
 EVENT_KINDS = (
     "local-token",
@@ -67,9 +67,10 @@ def policy_ids(records) -> list[str]:
 
 
 def _actor_matches(body: dict, actor: str) -> bool:
+    """Whether `actor`, a full "network/actor" address or a bare actor id, names an address of `body`."""
     for key in _ADDRESS_FIELDS:
         value = body.get(key)
-        if isinstance(value, str) and names_actor(value, actor):
+        if isinstance(value, str) and (value == actor or value.rpartition("/")[2] == actor):
             return True
     return False
 

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import policyprov
 from policyprov import fixture_path
 from policyprov.cli import main
+from policyprov.storage import EventLog
 
 from conftest import two_policy_scenario_dict
 
@@ -116,6 +122,27 @@ MALFORMED = {
     "required-action-not-text": (
         pattern_sequential(lambda raw: alpha_actions(raw)[1].update(required_action=["review"])),
         "run failed: invalid-token: invalid token fields: required_action"),
+    "scenario-list": (
+        [pattern_sequential()],
+        "scenario error: the scenario is not a JSON object"),
+    "network-text": (
+        pattern_sequential(lambda raw: raw["networks"].append("net2")),
+        "scenario error: network 'net2' is not an object"),
+    "goals-list": (
+        pattern_sequential(lambda raw: raw.update(goals=[raw["goals"]["probe"]])),
+        "scenario error: goals [{"),
+    "behavior-text": (
+        pattern_sequential(lambda raw: raw["behaviors"].append("x")),
+        "scenario error: behavior 'x' is not an object"),
+    "rule-text": (
+        pattern_sequential(lambda raw: raw["behaviors"][0]["rules"].append("x")),
+        "scenario error: rule for net/alpha 'x' is not an object"),
+    "metric-text": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"]["metrics"].append("x")),
+        "scenario error: goal probe: metric 'x' is not an object"),
+    "link-of-one-network": (
+        pattern_sequential(lambda raw: raw.update(links=[["a"]])),
+        "scenario error: link ['a'] is not a pair of network ids"),
 }
 
 
@@ -227,6 +254,25 @@ class TestQuery:
 
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["query", str(tmp_path / "nope.jsonl")]) == 2
+
+    def test_closed_pipe_ends_quietly(self, run_dir, tmp_path):
+        # The fixture run's records 120 times over: far more output than a
+        # pipe holds, so the query is still writing when the reader leaves.
+        run = EventLog.load(run_dir / "events.jsonl")
+        log = EventLog(tmp_path / "long.jsonl")
+        for _ in range(120):
+            for rec in run:
+                log.append(rec.event_kind, rec.body, log.tick())
+        log.close()
+        src = str(Path(policyprov.__file__).resolve().parent.parent)
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen([sys.executable, "-m", "policyprov.cli", "query", str(tmp_path / "long.jsonl")],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert json.loads(child.stdout.readline())["offset"] == 0
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 0, err
+        assert err == b""
 
     def test_query_leaves_the_log_untouched(self, run_dir):
         log_path = run_dir / "events.jsonl"

@@ -114,6 +114,8 @@ def test_decode_equals_the_reference_decode(data):
             assert list(vars(decoded).items()) == list(vars(expected).items())
             assert all(type(a) is type(b) for a, b in zip(vars(decoded).values(), vars(expected).values()))
             assert list(decoded.to_record().items()) == list(expected.to_record().items())
+            # The encoder against the schema: every field in `SCHEMAS` order, an absent optional one as None.
+            assert list(decoded.to_record().items()) == [(name, rec.get(name)) for name in SCHEMAS[cls]]
     assert all(address == Address.parse(text) for text, address in shared.items())
 
 

@@ -176,12 +176,17 @@ class TestLocalValidation:
 
     @pytest.mark.parametrize("name, value", [
         ("task", 5), ("task_input", None), ("token_id", 0), ("source_of_evidence", b"notes"), ("data_reference", 7),
+        ("seq_num", "1"), ("timestamp", "x"), ("seq_num", True), ("nature_of_task_output", "document"),
+        ("who_carried_out", "net/alice"),
     ])
-    def test_text_fields_must_be_text(self, name, value):
+    def test_fields_must_hold_their_type(self, name, value):
         assert validate_local_token(make_local(**{name: value})).violations == [name]
 
     def test_optional_text_field_may_be_none(self):
         assert validate_local_token(make_local(data_reference=None)).ok
+
+    def test_wrong_types_come_before_empty_fields(self):
+        assert validate_local_token(make_local(task=5, goal_id="")).violations == ["task", "goal_id"]
 
 
 class TestRoutedValidation:
@@ -214,10 +219,15 @@ class TestRoutedValidation:
     @pytest.mark.parametrize("kind", [TokenKind.TASK_HANDOFF, TokenKind.NOTIFICATION])
     @pytest.mark.parametrize("name, value", [
         ("previous_task", 5), ("goal_id", None), ("task_description", ["review"]), ("required_action", 1),
-        ("data_reference", False),
+        ("data_reference", False), ("seq_num", "1"), ("timestamp", "x"), ("communication_pattern", "sequential"),
+        ("source_address", "net/alice"),
     ])
-    def test_text_fields_must_be_text(self, kind, name, value):
+    def test_fields_must_hold_their_type(self, kind, name, value):
         assert validate_routed_token(make_routed(kind=kind, **{name: value})).violations == [name]
+
+    def test_notification_slots_come_before_task_slots(self):
+        token = make_routed(task_description="", phase_id="")
+        assert validate_routed_token(token).violations == ["task_description", "phase_id"]
 
     def test_task_handoff_requires_task_slots(self):
         token = make_routed(previous_task="", previous_task_output="")

@@ -1,21 +1,21 @@
 """The tracking service: one engine owns the log, the data store, the goals,
 the networks and the policies.
 
-Each network's controller creates tokens (ids, sequence numbers, logical
-timestamps, goal/phase stamps), routes intra-network, and hands cross-network
-tokens to the connector pair. No routes are pre-allocated: the only routing
-state is the address books (registered actors and linked networks). The
-engine opens the policies, looks them up, and is the only writer of
-`decision` records and of a policy's status. It holds the one policy owner
-and checks it in one place, `_owned`, for every goal change and decision.
-Every stored datum and every token it creates or delivers goes to goal
-monitoring from here.
+Both token kinds go through one controller step, `_issue`: it stamps goal and
+phase, draws the token id, takes the next per-(network, policy) sequence
+number and a fresh logical time, then validates and logs the token; a refused
+token is not logged and takes no number. One delivery decision, `_route`,
+serves tokens within and across networks, and the only routing state is the
+address books (registered actors and linked networks). The engine opens the
+policies, looks them up, and is the only writer of `decision` records and of
+a policy's status. It holds the one policy owner and checks it in one place,
+`_owned`, for every goal change and decision. Every stored datum and every
+token it creates or delivers goes to goal monitoring from here.
 """
 
 from __future__ import annotations
 
 import random
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -86,7 +86,7 @@ class NetworkEngine:
         self.policies: dict[str, PolicyRef] = {}  # in creation order
         self.networks: dict[str, set[str]] = {}  # network id -> its actor ids
         self.links: set[frozenset] = set()
-        # (network id, policy id) -> the last sequence number issued there.
+        # (network id, policy id) -> the sequence number of the last token logged there.
         self._seq: dict[tuple[str, str], int] = {}
         self._delivered: set[str] = set()
         # Simulation hook: called with each delivered RoutedToken.
@@ -119,13 +119,7 @@ class NetworkEngine:
     def is_registered(self, address: Address) -> bool:
         return address.actor_id in self.networks.get(address.network_id, ())
 
-    # -- sequencing and policies -------------------------------------------
-
-    def _next_seq(self, network_id: str, policy_id: str) -> int:
-        """Callers have checked the policy is active and the network registered."""
-        key = (network_id, policy_id)
-        self._seq[key] = self._seq.get(key, 0) + 1
-        return self._seq[key]
+    # -- policies ----------------------------------------------------------
 
     def notify_new_policy(self, submission: DataRecord, from_addr: Address):
         """Open a policy for a stored submission and notify the owner."""
@@ -190,30 +184,20 @@ class NetworkEngine:
     ) -> LocalToken:
         self._require_active(policy_id)
         self._require_actor(actor)
-        goal_id, phase_id = self._stamp(policy_id, goal_id, phase_id)
-        token = LocalToken(
-            token_id=self._new_token_id(),
-            policy_id=policy_id,
-            phase_id=phase_id,
-            goal_id=goal_id,
-            seq_num=self._next_seq(actor.network_id, policy_id),
-            task=task,
-            task_input=task_input,
-            nature_of_task_input=nature_of_task_input,
-            task_output=task_output,
-            nature_of_task_output=nature_of_task_output,
-            task_description=task_description,
-            who_carried_out=actor,
-            nature_of_stakeholders=self._stakeholder_nature(actor),
-            data_details=data_details or task_input,
-            source_of_evidence=source_of_evidence or task_input,
-            timestamp=self.log.tick(),
-            data_reference=data_reference,
-        )
-        result = validate_local_token(token)
-        if not result.ok:
-            raise InvalidTokenError(result.violations)
-        self.log.append("local-token", token.to_record(), token.timestamp)
+        token, _ = self._issue(
+            LocalToken, validate_local_token, "local-token", actor, policy_id, goal_id, phase_id, {
+                "task": task,
+                "task_input": task_input,
+                "nature_of_task_input": nature_of_task_input,
+                "task_output": task_output,
+                "nature_of_task_output": nature_of_task_output,
+                "task_description": task_description,
+                "who_carried_out": actor,
+                "nature_of_stakeholders": self._stakeholder_nature(actor),
+                "data_details": data_details or task_input,
+                "source_of_evidence": source_of_evidence or task_input,
+                "data_reference": data_reference,
+            })
         self.goals.evaluate_event(token)
         return token
 
@@ -239,35 +223,46 @@ class NetworkEngine:
         self._require_actor(actor)
         if destination == actor:
             raise SelfDestinationError("self-messaging must use a local token")
+        token, record = self._issue(
+            RoutedToken, validate_routed_token, "routed-token-send", actor, policy_id, goal_id, phase_id, {
+                "previous_task": previous_task,
+                "previous_task_output": previous_task_output,
+                "nature_of_task_output": nature_of_task_output,
+                "task_description": task_description,
+                "required_action": required_action,
+                "communication_pattern": communication_pattern,
+                "nature_of_stakeholders": self._stakeholder_nature(destination),
+                "data_details": data_details or task_description,
+                "source_of_evidence": source_of_evidence or previous_task,
+                "communication_with": destination,
+                "data_reference": data_reference,
+                "source_address": actor,
+                "destination_address": destination,
+                "kind": kind,
+            })
+        return token, self._route(token, record)
+
+    def _issue(self, cls, validate, event_kind, actor, policy_id, goal_id, phase_id, fields):
+        """The controller step of both token kinds: stamp goal and phase, draw
+        the token id, take the next sequence number and a fresh tick, build a
+        `cls` token with the caller's `fields`, check it with `validate` and
+        log its record as `event_kind`. The counter is written only once the
+        token is valid, so a refused token takes no number."""
         goal_id, phase_id = self._stamp(policy_id, goal_id, phase_id)
-        token = RoutedToken(
-            token_id=self._new_token_id(),
-            policy_id=policy_id,
-            phase_id=phase_id,
-            goal_id=goal_id,
-            seq_num=self._next_seq(actor.network_id, policy_id),
-            previous_task=previous_task,
-            previous_task_output=previous_task_output,
-            nature_of_task_output=nature_of_task_output,
-            task_description=task_description,
-            required_action=required_action,
-            communication_pattern=communication_pattern,
-            nature_of_stakeholders=self._stakeholder_nature(destination),
-            data_details=data_details or task_description,
-            source_of_evidence=source_of_evidence or previous_task,
-            communication_with=destination,
-            data_reference=data_reference,
-            timestamp=self.log.tick(),
-            source_address=actor,
-            destination_address=destination,
-            kind=kind,
-        )
-        result = validate_routed_token(token)
+        # The text of a version-4 UUID (version nibble 4, variant bits 10) from 128 random bits.
+        digits = "%032x" % (self._rng.getrandbits(128) & ~(0xF << 76 | 0x3 << 62) | (0x4 << 76 | 0x2 << 62))
+        token_id = f"{digits[:8]}-{digits[8:12]}-{digits[12:16]}-{digits[16:20]}-{digits[20:]}"
+        key = (actor.network_id, policy_id)
+        seq_num = self._seq.get(key, 0) + 1
+        token = cls(token_id=token_id, policy_id=policy_id, phase_id=phase_id, goal_id=goal_id, seq_num=seq_num,
+                    timestamp=self.log.tick(), **fields)
+        result = validate(token)
         if not result.ok:
             raise InvalidTokenError(result.violations)
+        self._seq[key] = seq_num
         record = token.to_record()
-        self.log.append("routed-token-send", record, token.timestamp)
-        return token, self._route(token, record)
+        self.log.append(event_kind, record, token.timestamp)
+        return token, record
 
     # -- delivery -------------------------------------------------------------
 
@@ -389,9 +384,6 @@ class NetworkEngine:
         if actor.network_id == self.owner.network_id:
             return StakeholderNature.INTERNAL
         return StakeholderNature.EXTERNAL
-
-    def _new_token_id(self) -> str:
-        return str(uuid.UUID(int=self._rng.getrandbits(128), version=4))
 
     def close(self):
         self.log.close()

@@ -102,7 +102,13 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             raise ScenarioError(f"duplicate network id {network_id}")
         networks[network_id] = list(actors)
 
-    phases = tuple(raw.get("phases", DEFAULT_PHASES))
+    phases = tuple(_shaped(raw.get("phases", list(DEFAULT_PHASES)), list, "phases"))
+    for phase in phases:
+        if not isinstance(phase, str):
+            raise ScenarioError(f"phase {phase!r} is not a string")
+    seed = raw.get("seed", 0)
+    if type(seed) is not int:
+        raise ScenarioError(f"seed {seed!r} is not an integer")
     declared = {f"{n}/{a}" for n, actors in networks.items() for a in actors}
 
     def resolve(text, context: str) -> str:
@@ -121,16 +127,24 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         for key in ("goal_id", "name"):
             if key not in spec:
                 raise ScenarioError(f"goal {ref} has no {key}")
+            if not isinstance(spec[key], str):
+                raise ScenarioError(f"goal {ref}: {key} {spec[key]!r} is not a string")
         if spec.get("phase") not in phases:
             raise ScenarioError(f"goal {ref} uses unknown phase {spec.get('phase')}")
         metrics = _shaped(spec.get("metrics", []), list, "goal {}: metrics", ref)
-        for metric in metrics:
+        metric_ids = []
+        for i, metric in enumerate(metrics, 1):
             kind = _shaped(metric, dict, "goal {}: metric", ref).get("kind")
             if kind == "approval":
                 resolve(metric.get("approver"), f"goal {ref}")
             elif kind != "artifact-delivery" or not metric.get("artifact"):
                 raise ScenarioError(f"goal {ref}: metric {metric} is neither an approval nor an artifact delivery")
-        metric_ids = [metric["metric_id"] for metric in metrics if "metric_id" in metric]
+            elif not isinstance(metric["artifact"], str):
+                raise ScenarioError(f"goal {ref}: artifact {metric['artifact']!r} is not a string")
+            metric_id = _metric_id(spec["goal_id"], i, metric)
+            if not isinstance(metric_id, str):
+                raise ScenarioError(f"goal {ref}: metric_id {metric_id!r} is not a string")
+            metric_ids.append(metric_id)
         if len(set(metric_ids)) != len(metric_ids):
             raise ScenarioError(f"goal {ref} has two metrics of one id: {metric_ids}")
         goal_defs[ref] = spec
@@ -166,14 +180,20 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                     raise ScenarioError(f"rule for {actor}: unknown action {do!r}") from None
                 if do == "send_token":
                     resolve(action.get("to"), where)
-                elif do == "define_goal" and action.get("goal") not in goal_defs:
-                    raise ScenarioError(f"rule for {actor} references unknown goal {action.get('goal')}")
+                elif do == "define_goal":
+                    if not isinstance(action.get("goal"), str) or action["goal"] not in goal_defs:
+                        raise ScenarioError(f"rule for {actor} references unknown goal {action.get('goal')}")
+                elif do in ("submit_policy", "put_data"):
+                    for key in ("payload", "media_hint"):
+                        if not isinstance(action.get(key, ""), str):
+                            raise ScenarioError(f"rule for {actor}: {key} {action[key]!r} is not a string")
                 for key, enum, values in enum_values:
                     if key in action and not (isinstance(action[key], str) and action[key] in values):
                         raise ScenarioError(f"rule for {actor}: {action[key]!r} is not a valid {enum.__name__}")
-            rules.append(
-                Rule(actor, trigger, list(actions), rule_raw.get("once", True), len(rules))
-            )
+            once = rule_raw.get("once", True)
+            if type(once) is not bool:
+                raise ScenarioError(f"rule for {actor}: once {once!r} is not true or false")
+            rules.append(Rule(actor, trigger, list(actions), once, len(rules)))
 
     links = []
     for link in _shaped(raw.get("links", []), list, "links"):
@@ -192,7 +212,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         phases=phases,
         goal_defs=goal_defs,
         rules=rules,
-        seed=raw.get("seed", 0),
+        seed=seed,
         expected=raw.get("expected", {}),
     )
 
@@ -204,10 +224,15 @@ def _shaped(value, kind: type, what: str, context=None):
     return value
 
 
+def _metric_id(goal_id: str, i: int, metric: dict) -> str:
+    """The id of a goal's `i`-th metric (from 1): its `metric_id`, else `<goal_id>-m<i>`."""
+    return metric.get("metric_id", f"{goal_id}-m{i}")
+
+
 def _metrics_from(spec: dict) -> list[Metric]:
     metrics = []
     for i, m in enumerate(spec.get("metrics", []), 1):
-        metric_id = m.get("metric_id", f"{spec['goal_id']}-m{i}")
+        metric_id = _metric_id(spec["goal_id"], i, m)
         if m["kind"] == "artifact-delivery":
             metrics.append(Metric(metric_id, MetricKind.ARTIFACT_DELIVERY, artifact_key=m["artifact"]))
         else:

@@ -143,6 +143,49 @@ MALFORMED = {
     "link-of-one-network": (
         pattern_sequential(lambda raw: raw.update(links=[["a"]])),
         "scenario error: link ['a'] is not a pair of network ids"),
+    "seed-list": (
+        pattern_sequential(lambda raw: raw.update(seed=[1])),
+        "scenario error: seed [1] is not an integer"),
+    "seed-bool": (
+        pattern_sequential(lambda raw: raw.update(seed=True)),
+        "scenario error: seed True is not an integer"),
+    "phases-text": (
+        pattern_sequential(lambda raw: raw.update(phases="agenda-setting")),
+        "scenario error: phases 'agenda-setting' is not a list"),
+    "phase-not-text": (
+        pattern_sequential(lambda raw: raw.update(phases=[1, "agenda-setting"])),
+        "scenario error: phase 1 is not a string"),
+    "goal-id-list": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"].update(goal_id=["g"])),
+        "scenario error: goal probe: goal_id ['g'] is not a string"),
+    "goal-id-int": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"].update(goal_id=5)),
+        "scenario error: goal probe: goal_id 5 is not a string"),
+    "goal-name-not-text": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"].update(name=5)),
+        "scenario error: goal probe: name 5 is not a string"),
+    "metric-id-list": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"]["metrics"][0].update(metric_id=["m"])),
+        "scenario error: goal probe: metric_id ['m'] is not a string"),
+    "metric-artifact-not-text": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"]["metrics"][0].update(artifact=5)),
+        "scenario error: goal probe: artifact 5 is not a string"),
+    "metric-id-equal-to-a-default-id": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"]["metrics"].append(
+            {"metric_id": "g-probe-m1", "kind": "artifact-delivery", "artifact": "annex"})),
+        "scenario error: goal probe has two metrics of one id"),
+    "define-goal-list": (
+        pattern_sequential(lambda raw: raw["behaviors"][1]["rules"][0]["actions"][0].update(goal=["probe"])),
+        "scenario error: rule for net/owner references unknown goal ['probe']"),
+    "payload-not-text": (
+        pattern_sequential(lambda raw: raw["behaviors"][0]["rules"][0]["actions"][0].update(payload=5)),
+        "scenario error: rule for net/alpha: payload 5 is not a string"),
+    "media-hint-not-text": (
+        pattern_sequential(lambda raw: raw["behaviors"][0]["rules"][0]["actions"][0].update(media_hint=5)),
+        "scenario error: rule for net/alpha: media_hint 5 is not a string"),
+    "once-text": (
+        pattern_sequential(lambda raw: raw["behaviors"][0]["rules"][0].update(once="no")),
+        "scenario error: rule for net/alpha: once 'no' is not true or false"),
 }
 
 

@@ -1,5 +1,7 @@
 """Controllers, sequencing, routing, dedup, and delivery receipts."""
 
+import random
+import uuid
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,6 +152,24 @@ class TestSequencing:
         assert t3.seq_num == 1
         assert not seq_violations(system.log)
 
+    @pytest.mark.parametrize("refuse", [
+        lambda system, policy_id: local(system, SNT, policy_id, task=""),
+        lambda system, policy_id: system.send_token(SNT, policy_id, destination=BCU, previous_task="",
+                                                    previous_task_output="o", task_description="d"),
+    ], ids=["local-token", "send-token"])
+    def test_refused_token_takes_no_number(self, refuse):
+        system = make_system()
+        policy = open_policy(system)
+        define_default_goal(system, policy)
+        first = local(system, SNT, policy.policy_id)
+        logged = len(system.log)
+        with pytest.raises(InvalidTokenError):
+            refuse(system, policy.policy_id)
+        assert len(system.log) == logged
+        second = local(system, SNT, policy.policy_id)
+        assert (first.seq_num, second.seq_num) == (1, 2)
+        assert seq_violations(system.log) == []
+
     def test_unknown_policy_rejected(self):
         system = make_system()
         with pytest.raises(UnknownPolicyError):
@@ -205,6 +225,7 @@ class TestStamping:
         with pytest.raises(UnknownGoalError):
             create(system, policy.policy_id)
         assert len(system.log) == logged
+        assert local(system, SNT, policy.policy_id).seq_num == 1
 
     def test_invalid_token_rejected_with_violations(self):
         system = make_system()
@@ -226,6 +247,22 @@ class TestRouting:
     def test_self_destination_rejected(self):
         system, policy = self.setup_run()
         with pytest.raises(SelfDestinationError):
+            system.send_token(SNT, policy.policy_id, destination=SNT,
+                              previous_task="t", previous_task_output="o",
+                              task_description="d")
+
+    def test_unregistered_actor_sending_to_itself_is_unknown(self):
+        system, policy = self.setup_run()
+        stranger = Address("local-council", "stranger")
+        with pytest.raises(UnknownActorError):
+            system.send_token(stranger, policy.policy_id, destination=stranger,
+                              previous_task="t", previous_task_output="o",
+                              task_description="d")
+
+    def test_self_destination_on_a_terminated_policy_is_terminated(self):
+        system, policy = self.setup_run()
+        system.decide_continuation(policy.policy_id, "terminate", by=OWNER)
+        with pytest.raises(TerminatedPolicyError):
             system.send_token(SNT, policy.policy_id, destination=SNT,
                               previous_task="t", previous_task_output="o",
                               task_description="d")
@@ -402,6 +439,19 @@ class TestGoalSatisfactionNotice:
         assert notices == []
 
 
+def test_token_ids_are_the_seeded_version_4_uuids():
+    """Each token id, in log order, is the text of `uuid.UUID(int=..., version=4)`
+    on the next 128 bits of a `random.Random(seed)`: one draw per token."""
+    system = make_system(seed=42)
+    policy = open_policy(system)
+    define_default_goal(system, policy)
+    for step in range(50):
+        local(system, SNT, policy.policy_id, output=f"out {step}")
+    token_ids = [rec.body["token_id"] for rec in system.log if rec.event_kind in ("local-token", "routed-token-send")]
+    draws = random.Random(42)
+    assert token_ids == [str(uuid.UUID(int=draws.getrandbits(128), version=4)) for _ in token_ids]
+
+
 def test_identical_seeds_give_identical_token_ids():
     def run_once():
         system = make_system(seed=42)
@@ -445,11 +495,33 @@ def check_statuses_after_every_record(system) -> list:
     return mismatches
 
 
+def check_counters_after_every_record(system) -> list:
+    """Wrap the system's log so that, after each appended record, every
+    (network, policy) sequence counter is compared with the largest `seq_num`
+    among that pair's token records so far, read from the record format
+    alone. Returns the list the mismatches are put in."""
+    append, expected, mismatches = system.log.append, {}, []
+
+    def checked_append(event_kind, body, logical_time):
+        offset = append(event_kind, body, logical_time)
+        sender = {"local-token": "who_carried_out", "routed-token-send": "source_address"}.get(event_kind)
+        if sender is not None:
+            key = (body[sender].split("/")[0], body["policy_id"])
+            expected[key] = max(expected.get(key, 0), body["seq_num"])
+        if system._seq != expected:
+            mismatches.append((offset, event_kind, dict(system._seq), dict(expected)))
+        return offset
+
+    system.log.append = checked_append
+    return mismatches
+
+
 OPS = st.lists(st.one_of(
     st.tuples(st.just("open")),
     st.tuples(st.just("decide"), st.integers(0, 2), st.sampled_from(["continue", "terminate"])),
     st.tuples(st.just("put"), st.sampled_from(["report", "memo"])),
     st.tuples(st.just("work"), st.integers(0, 2), st.sampled_from(["report", "memo"])),
+    st.tuples(st.just("invalid"), st.integers(0, 2)),
 ), max_size=25)
 
 
@@ -459,6 +531,7 @@ class TestPolicyLifecycle:
     def test_statuses_follow_the_decision_records(self, ops):
         system = make_system()
         mismatches = check_statuses_after_every_record(system)
+        counter_mismatches = check_counters_after_every_record(system)
         for step, (op, *args) in enumerate(ops):
             policies = list(system.policies)
             if op == "open":
@@ -473,17 +546,23 @@ class TestPolicyLifecycle:
                 try:
                     if op == "decide":
                         system.decide_continuation(policy_id, args[1], by=OWNER)
+                    elif op == "invalid":
+                        local(system, SNT, policy_id, task="")
                     else:
                         local(system, SNT, policy_id, output=args[1])
-                except (AlreadyTerminatedError, TerminatedPolicyError):
+                except (AlreadyTerminatedError, TerminatedPolicyError, InvalidTokenError):
                     pass
         assert mismatches == []
+        assert counter_mismatches == []
+        assert seq_violations(system.log) == []
 
     @pytest.mark.parametrize("name", ["neighbourhood_safety", "change_control_board"])
     def test_fixture_statuses_follow_the_decision_records(self, name):
         scenario = load_scenario(fixture_path(name))
         system = build_system(scenario)
         mismatches = check_statuses_after_every_record(system)
+        counter_mismatches = check_counters_after_every_record(system)
         _Runner(scenario, system, step_budget=1000).run()
         assert system.log.scan(event_kind="decision", policy_id="pol-1")
         assert mismatches == []
+        assert counter_mismatches == []

@@ -9,6 +9,10 @@ Mapping (our formalization):
                    next Activity, which wasInformedBy the sender's Activity
 Artifacts are identified by canonical name within a policy, so entities named
 in multiple tokens unify and the graph connects.
+
+The export is the text of `json.dumps(..., sort_keys=True, indent=2)`, built
+from one C-encoder call per member (`_indent2`): any `indent` would send the
+standard library to its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -174,8 +178,41 @@ _RELATIONS = (
 )
 
 
+# The leaves of one member, as one JSON array whose separators are the ones
+# `indent=2` writes between the keys of a leaf (a leaf's keys sit 6 deep).
+_LEAVES = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_LEAF_BREAK = "},\n      {"
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _indent2(out: dict) -> str:
+    """`json.dumps(out, sort_keys=True, indent=2)`, with one C-encoder call per member.
+
+    `out` must be a dict of members, each a dict of ids to flat dicts whose
+    values are str, int or bool. Each member's sorted leaves are encoded as
+    one array, which is split at every `_LEAF_BREAK`. With `ensure_ascii` a
+    newline inside a string is escaped, so a raw newline only comes from a
+    separator, and since no leaf value is a dict, a `}` before a separator
+    closes a leaf: the array splits into exactly its leaves.
+    """
+    members = []
+    for key, items in sorted(out.items()):
+        if not items:
+            members.append(f"  {_quote(key)}: {{}}")
+            continue
+        ids = sorted(items)
+        leaves = _LEAVES.encode([items[i] for i in ids])[2:-2].split(_LEAF_BREAK)
+        entries = ",\n".join(
+            f"    {_quote(i)}: {{\n      {leaf}\n    }}" if leaf else f"    {_quote(i)}: {{}}"
+            for i, leaf in zip(ids, leaves)
+        )
+        members.append(f"  {_quote(key)}: {{\n{entries}\n  }}")
+    return "{\n" + ",\n".join(members) + "\n}" if members else "{}"
+
+
 def export_prov_json(doc: ProvDocument) -> bytes:
-    """Deterministic PROV-JSON: one object with exactly the eight members.
+    """Deterministic PROV-JSON: one object with exactly the eight members,
+    the bytes of `json.dumps(..., sort_keys=True, indent=2)` (see `_indent2`).
 
     `sort_keys` orders every object; relation ids number the sorted pairs.
     """
@@ -183,4 +220,4 @@ def export_prov_json(doc: ProvDocument) -> bytes:
     for attr, key, prefix, roles in _RELATIONS:
         pairs = sorted(getattr(doc, attr))
         out[key] = {f"{prefix}{i}": dict(zip(roles, pair)) for i, pair in enumerate(pairs, 1)}
-    return json.dumps(out, sort_keys=True, indent=2).encode("utf-8")
+    return _indent2(out).encode("utf-8")

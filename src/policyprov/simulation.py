@@ -132,6 +132,8 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         if spec.get("phase") not in phases:
             raise ScenarioError(f"goal {ref} uses unknown phase {spec.get('phase')}")
         metrics = _shaped(spec.get("metrics", []), list, "goal {}: metrics", ref)
+        if not metrics:  # the goal engine refuses a goal that nothing can satisfy
+            raise ScenarioError(f"goal {ref} has no metrics")
         metric_ids = []
         for i, metric in enumerate(metrics, 1):
             kind = _shaped(metric, dict, "goal {}: metric", ref).get("kind")
@@ -231,7 +233,7 @@ def _metric_id(goal_id: str, i: int, metric: dict) -> str:
 
 def _metrics_from(spec: dict) -> list[Metric]:
     metrics = []
-    for i, m in enumerate(spec.get("metrics", []), 1):
+    for i, m in enumerate(spec["metrics"], 1):
         metric_id = _metric_id(spec["goal_id"], i, m)
         if m["kind"] == "artifact-delivery":
             metrics.append(Metric(metric_id, MetricKind.ARTIFACT_DELIVERY, artifact_key=m["artifact"]))

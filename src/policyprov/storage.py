@@ -33,6 +33,8 @@ EVENT_KINDS = (
 
 # One canonical encoder for every record: sorted keys, no spaces, ASCII only.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# One decoder for every line `load` reads.
+_DECODE = json.JSONDecoder().raw_decode
 
 _ADDRESS_FIELDS = (
     "who_carried_out",
@@ -43,7 +45,7 @@ _ADDRESS_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     offset: int
     event_kind: str
@@ -178,8 +180,11 @@ class EventLog:
                 if not text:
                     continue
                 try:
-                    raw = json.loads(text.decode("utf-8"))
-                except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep to parse
+                    text = text.decode("utf-8")
+                    raw, end = _DECODE(text)
+                    if end != len(text):
+                        raise ValueError("data after the JSON value")
+                except (ValueError, RecursionError):  # not UTF-8, not one JSON value, or nested too deep to parse
                     if not line.endswith(b"\n"):
                         raise TornLogError(f"line {number}: torn last line, cut off before its newline") from None
                     raise CorruptLogError(f"line {number}: not UTF-8 JSON") from None

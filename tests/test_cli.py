@@ -140,6 +140,12 @@ MALFORMED = {
     "metric-text": (
         pattern_sequential(lambda raw: raw["goals"]["probe"]["metrics"].append("x")),
         "scenario error: goal probe: metric 'x' is not an object"),
+    "metrics-empty": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"].update(metrics=[])),
+        "scenario error: goal probe has no metrics"),
+    "metrics-missing": (
+        pattern_sequential(lambda raw: raw["goals"]["probe"].pop("metrics")),
+        "scenario error: goal probe has no metrics"),
     "link-of-one-network": (
         pattern_sequential(lambda raw: raw.update(links=[["a"]])),
         "scenario error: link ['a'] is not a pair of network ids"),

@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from policyprov import TokenKind, build_prov, export_prov_json, token_to_prov_fragment
 from policyprov.errors import UnknownPolicyError
-from policyprov.prov import activity_id_for, entity_id_for
+from policyprov.prov import _RELATIONS, ProvDocument, activity_id_for, entity_id_for
 
 from conftest import (
     BCU,
@@ -161,3 +163,29 @@ class TestExport:
         for rel in exported["wasDerivedFrom"].values():
             assert rel["prov:generatedEntity"] in entities
             assert rel["prov:usedEntity"] in entities
+
+
+# Text built from the characters the emitter's split must see through (raw
+# newlines, tabs, quotes, backslashes, braces and the split text itself),
+# non-ASCII and astral characters, and any other text.
+_TRICKY = st.sampled_from(["\n", "\t", '"', "\\", "{", "}", "},\n      {", '"},\n      {"', ": ",
+                           "\x00", "\x7f", "\u00e9", "\u2028", "\ud7ff", "\U0001f600", "a", "Z", " "])
+TEXT = st.lists(st.one_of(_TRICKY, st.text(max_size=3)), max_size=3).map("".join)
+VALUE = st.one_of(TEXT, st.integers(min_value=-(2**80), max_value=2**80), st.booleans())
+LEAVES = st.dictionaries(TEXT, st.dictionaries(TEXT, VALUE, max_size=4), max_size=4)  # empty members and leaves too
+PAIRS = st.lists(st.tuples(TEXT, TEXT), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entities=LEAVES, activities=LEAVES, agents=LEAVES, relations=st.tuples(*[PAIRS] * len(_RELATIONS)))
+@example(  # keys inserted against their sorted order, at both levels
+    entities={"z": {"b": 1, "a": "x"}, "a": {}}, activities={}, agents={"m\n": {"z": True, "y": -1}},
+    relations=([("b", "a"), ("a", "b")], [], [], [], []),
+)
+def test_export_is_json_dumps_indent_2(entities, activities, agents, relations):
+    doc = ProvDocument(entities=entities, activities=activities, agents=agents,
+                       **{attr: dict.fromkeys(pairs) for (attr, *_), pairs in zip(_RELATIONS, relations)})
+    reference = {"entity": entities, "activity": activities, "agent": agents}
+    for (attr, key, prefix, roles), pairs in zip(_RELATIONS, relations):
+        reference[key] = {f"{prefix}{i}": dict(zip(roles, pair)) for i, pair in enumerate(sorted(set(pairs)), 1)}
+    assert export_prov_json(doc) == json.dumps(reference, sort_keys=True, indent=2).encode("utf-8")

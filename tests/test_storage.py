@@ -1,5 +1,6 @@
 """Event log, its logical time, and content-addressed data store."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,6 +23,9 @@ from policyprov.reconstruct import reconstruct_process
 from policyprov.storage import EVENT_KINDS
 
 from conftest import oracle_scan
+
+# A record that is valid as the second record of a log whose first is at logical time 1.
+SECOND_RECORD = b'{"body":{"policy_id":"pol-1"},"event_kind":"decision","logical_time":2,"offset":1}'
 
 ALICE = Address("net", "alice")
 
@@ -70,17 +74,32 @@ class TestEventLog:
         assert [rec.to_json() for rec in loaded] == [rec.to_json() for rec in log]
         assert loaded.content_hash() == log.content_hash()
 
+    @staticmethod
+    def _log_whose_line_3_is(path, line: bytes):
+        log = EventLog()
+        log.append("decision", {"policy_id": "pol-1"}, 1)
+        path.write_bytes(log[0].to_json().encode("utf-8") + b"\n\n" + line + b"\n")
+
+    def test_valid_line_3_loads_as_a_frozen_record(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        self._log_whose_line_3_is(path, SECOND_RECORD)
+        record = EventLog.load(path)[1]
+        assert record.to_json().encode("utf-8") == SECOND_RECORD
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.logical_time = 3
+
     @pytest.mark.parametrize("bad", [
         b'{"offset":0}', b'{"offset":1,"event_kind":"decision","logical_time":2}',
         b"[1,2]", b'{"offset":', b"\xff\xfe", b'{"offset":0,"event_kind":"decision","logical_time":1,"body":[]}',
         b'{"offset":0,"event_kind":"bogus","logical_time":1,"body":{}}',
         pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-too-deep"),
+        pytest.param(SECOND_RECORD + b"{}", id="record-then-object"),
+        pytest.param(SECOND_RECORD + b" 1", id="record-then-number"),
+        pytest.param(SECOND_RECORD + b"]", id="record-then-bracket"),
     ])
     def test_malformed_line_raises_naming_the_line(self, tmp_path, bad):
         path = tmp_path / "events.jsonl"
-        log = EventLog()
-        log.append("decision", {"policy_id": "pol-1"}, 1)
-        path.write_bytes(log[0].to_json().encode("utf-8") + b"\n\n" + bad + b"\n")
+        self._log_whose_line_3_is(path, bad)
         with pytest.raises(CorruptLogError, match="^line 3: "):
             EventLog.load(path)
 

@@ -2,15 +2,16 @@
 the networks and the policies.
 
 Both token kinds go through one controller step, `_issue`: it stamps goal and
-phase, draws the token id, takes the next per-(network, policy) sequence
-number and a fresh logical time, then validates and logs the token; a refused
-token is not logged and takes no number. One delivery decision, `_route`,
-serves tokens within and across networks, and the only routing state is the
-address books (registered actors and linked networks). The engine opens the
-policies, looks them up, and is the only writer of `decision` records and of
-a policy's status. It holds the one policy owner and checks it in one place,
-`_owned`, for every goal change and decision. Every stored datum and every
-token it creates or delivers goes to goal monitoring from here.
+phase, takes the next per-(network, policy) sequence number and validates the
+token; only then does it draw the token id, take a fresh logical time and log
+the token, so a refused token is not logged and takes no number, time or id.
+One delivery decision, `_route`, serves tokens within and across networks,
+and the only routing state is the address books (registered actors and
+linked networks). The engine opens the policies, looks them up, and is the
+only writer of `decision` records and of a policy's status. It holds the one
+policy owner and checks it in one place, `_owned`, for every goal change and
+decision. Every stored datum and every token it creates or delivers goes to
+goal monitoring from here.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ from .model import (
     validate_routed_token,
 )
 from .storage import DataStore, EventLog
+
+# The token id a token holds while it is validated, before it draws its own.
+_UNISSUED_ID = "unissued"
 
 
 @dataclass(frozen=True)
@@ -243,22 +247,27 @@ class NetworkEngine:
         return token, self._route(token, record)
 
     def _issue(self, cls, validate, event_kind, actor, policy_id, goal_id, phase_id, fields):
-        """The controller step of both token kinds: stamp goal and phase, draw
-        the token id, take the next sequence number and a fresh tick, build a
-        `cls` token with the caller's `fields`, check it with `validate` and
-        log its record as `event_kind`. The counter is written only once the
-        token is valid, so a refused token takes no number."""
+        """The controller step of both token kinds: stamp goal and phase, take
+        the next sequence number, build a `cls` token with the caller's
+        `fields`, check it with `validate` and log its record as `event_kind`.
+        Only a valid token draws its id, takes a fresh tick and writes the
+        sequence counter, so a refused token leaves no trace. The validator
+        sees the token with a placeholder id and time of the right types; the
+        token is still private here, so the two are then set in place."""
         goal_id, phase_id = self._stamp(policy_id, goal_id, phase_id)
-        # The text of a version-4 UUID (version nibble 4, variant bits 10) from 128 random bits.
-        digits = "%032x" % (self._rng.getrandbits(128) & ~(0xF << 76 | 0x3 << 62) | (0x4 << 76 | 0x2 << 62))
-        token_id = f"{digits[:8]}-{digits[8:12]}-{digits[12:16]}-{digits[16:20]}-{digits[20:]}"
         key = (actor.network_id, policy_id)
         seq_num = self._seq.get(key, 0) + 1
-        token = cls(token_id=token_id, policy_id=policy_id, phase_id=phase_id, goal_id=goal_id, seq_num=seq_num,
-                    timestamp=self.log.tick(), **fields)
+        token = cls(token_id=_UNISSUED_ID, policy_id=policy_id, phase_id=phase_id, goal_id=goal_id,
+                    seq_num=seq_num, timestamp=0, **fields)
         result = validate(token)
         if not result.ok:
             raise InvalidTokenError(result.violations)
+        # The text of a version-4 UUID (version nibble 4, variant bits 10) from 128 random bits.
+        digits = "%032x" % (self._rng.getrandbits(128) & ~(0xF << 76 | 0x3 << 62) | (0x4 << 76 | 0x2 << 62))
+        vars(token).update(
+            token_id=f"{digits[:8]}-{digits[8:12]}-{digits[12:16]}-{digits[16:20]}-{digits[20:]}",
+            timestamp=self.log.tick(),
+        )
         self._seq[key] = seq_num
         record = token.to_record()
         self.log.append(event_kind, record, token.timestamp)

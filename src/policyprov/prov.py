@@ -10,9 +10,10 @@ Mapping (our formalization):
 Artifacts are identified by canonical name within a policy, so entities named
 in multiple tokens unify and the graph connects.
 
-The export is the text of `json.dumps(..., sort_keys=True, indent=2)`, built
-from one C-encoder call per member (`_indent2`): any `indent` would send the
-standard library to its pure-Python encoder.
+The export is the text of `json.dumps(..., sort_keys=True, indent=2)`: any
+`indent` would send the standard library to its pure-Python encoder, so each
+node member is built from one C-encoder call (`_indent2`) and each relation
+member is written as text from its sorted pairs (`_pairs`).
 """
 
 from __future__ import annotations
@@ -42,25 +43,8 @@ class ProvDocument:
     was_derived_from: dict = field(default_factory=dict)  # (generated, source)
     # entity -> its one generator, written together with was_generated_by.
     _generator: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def add_entity(self, entity_id: str, **attrs) -> str:
-        self.entities.setdefault(entity_id, {}).update(
-            {k: v for k, v in attrs.items() if v is not None}
-        )
-        return entity_id
-
-    def add_activity(self, activity_id: str, **attrs) -> str:
-        self.activities.setdefault(activity_id, {}).update(
-            {k: v for k, v in attrs.items() if v is not None}
-        )
-        return activity_id
-
-    def add_agent(self, address: Address, **attrs) -> str:
-        agent_id = f"agt:{address.network_id}/{address.actor_id}"
-        self.agents.setdefault(
-            agent_id, {"network": address.network_id, "actor": address.actor_id}
-        ).update({k: v for k, v in attrs.items() if v is not None})
-        return agent_id
+    # (policy, artifact name) -> entity id, each formed once per document.
+    _entity_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def generated_by(self, entity_id: str, activity_id: str) -> bool:
         """At most one generator per entity; the first one wins."""
@@ -73,75 +57,109 @@ class ProvDocument:
     def generator_of(self, entity_id: str) -> Optional[str]:
         return self._generator.get(entity_id)
 
+    def entity_id(self, policy_id: str, name: str) -> str:
+        key = (policy_id, name)
+        entity_id = self._entity_ids.get(key)
+        if entity_id is None:
+            entity_id = self._entity_ids[key] = entity_id_for(policy_id, name)
+        return entity_id
+
+    def agent(self, address: Address) -> tuple:
+        """The agent's id and attribute dict, the dict made on first sight."""
+        agent_id = f"agt:{address.network_id}/{address.actor_id}"
+        attrs = self.agents.get(agent_id)
+        if attrs is None:
+            attrs = self.agents[agent_id] = {"network": address.network_id, "actor": address.actor_id}
+        return agent_id, attrs
+
 
 def entity_id_for(policy_id: str, name: str) -> str:
     return f"ent:{policy_id}/{canonical_artifact(name)}"
 
 
+def _merge(nodes: dict, node_id: str, attrs: dict):
+    """Add a node, or update an existing one with `attrs`."""
+    known = nodes.get(node_id)
+    if known is None:
+        nodes[node_id] = attrs
+    else:
+        known.update(attrs)
+
+
+# Each attribute dict below is one literal; an optional token field is left
+# out when it is None, and no other field is ever None in a token.
+
+
 def _add_local(doc: ProvDocument, token: LocalToken, view: PolicyView):
-    act_id = doc.add_activity(
-        activity_id_for(token),
-        label=token.task,
-        task_description=token.task_description,
-        phase_id=token.phase_id,
-        goal_id=token.goal_id,
-        start=token.timestamp,
-        end=view.end_time(token),
-        source_of_evidence=token.source_of_evidence,
-        data_reference=token.data_reference,
-    )
-    agent_id = doc.add_agent(
-        token.who_carried_out, nature_of_stakeholders=token.nature_of_stakeholders.value
-    )
+    act_id = activity_id_for(token)
+    attrs = {
+        "label": token.task,
+        "task_description": token.task_description,
+        "phase_id": token.phase_id,
+        "goal_id": token.goal_id,
+        "start": token.timestamp,
+        "end": view.end_time(token),
+        "source_of_evidence": token.source_of_evidence,
+    }
+    if token.data_reference is not None:
+        attrs["data_reference"] = token.data_reference
+    _merge(doc.activities, act_id, attrs)
+    agent_id, agent = doc.agent(token.who_carried_out)
+    agent["nature_of_stakeholders"] = token.nature_of_stakeholders.value
     doc.was_associated_with[act_id, agent_id] = None
-    in_id = doc.add_entity(
-        entity_id_for(token.policy_id, token.task_input),
-        label=token.task_input,
-        nature=token.nature_of_task_input.value,
-    )
-    doc.used[act_id, in_id] = None
+    in_id = doc.entity_id(token.policy_id, token.task_input)
+    attrs = {"label": token.task_input, "nature": token.nature_of_task_input.value}
     if doc.generator_of(in_id) is None:
-        doc.entities[in_id]["external_origin"] = True
-    out_id = doc.add_entity(
-        entity_id_for(token.policy_id, token.task_output),
-        label=token.task_output,
-        nature=token.nature_of_task_output.value,
-        source_of_evidence=token.source_of_evidence,
-        data_reference=token.data_reference,
-    )
+        attrs["external_origin"] = True
+    _merge(doc.entities, in_id, attrs)
+    doc.used[act_id, in_id] = None
+    out_id = doc.entity_id(token.policy_id, token.task_output)
+    attrs = {
+        "label": token.task_output,
+        "nature": token.nature_of_task_output.value,
+        "source_of_evidence": token.source_of_evidence,
+    }
+    if token.data_reference is not None:
+        attrs["data_reference"] = token.data_reference
     if doc.generated_by(out_id, act_id):
         # An earlier external-origin mark stays: it covers uses that predate
         # this generation.
-        doc.entities[out_id]["generated_at"] = token.timestamp
+        attrs["generated_at"] = token.timestamp
+    _merge(doc.entities, out_id, attrs)
     doc.was_derived_from[out_id, in_id] = None
 
 
 def _add_routed(doc: ProvDocument, token: RoutedToken, view: PolicyView):
-    tok_id = doc.add_entity(
-        f"tok:{token.token_id}",
-        label=token.previous_task_output or token.task_description,
-        kind=token.kind.value,
-        task_description=token.task_description,
-        required_action=token.required_action,
-        communication_pattern=token.communication_pattern.value,
-        data_reference=token.data_reference,
-    )
-    doc.add_agent(token.source_address)
-    doc.add_agent(token.destination_address)
+    tok_id = f"tok:{token.token_id}"
+    attrs = {
+        "label": token.previous_task_output or token.task_description,
+        "kind": token.kind.value,
+        "task_description": token.task_description,
+        "communication_pattern": token.communication_pattern.value,
+    }
+    if token.required_action is not None:
+        attrs["required_action"] = token.required_action
+    if token.data_reference is not None:
+        attrs["data_reference"] = token.data_reference
+    doc.agent(token.source_address)
+    doc.agent(token.destination_address)
     prev = view.previous(token.source_address, token.timestamp, token.previous_task)
     if prev is None:
-        doc.entities[tok_id]["external_origin"] = True
+        attrs["external_origin"] = True
     else:
-        doc.generated_by(tok_id, activity_id_for(prev))
-        doc.entities[tok_id]["generated_at"] = token.timestamp
+        prev_id = activity_id_for(prev)
+        doc.generated_by(tok_id, prev_id)
+        attrs["generated_at"] = token.timestamp
+    _merge(doc.entities, tok_id, attrs)
     receive_time = view.receives.get(token.token_id)
     if receive_time is None:
         return
     nxt = view.next(token.destination_address, receive_time)
     if nxt is not None:
-        doc.used[activity_id_for(nxt), tok_id] = None
+        nxt_id = activity_id_for(nxt)
+        doc.used[nxt_id, tok_id] = None
         if prev is not None:
-            doc.was_informed_by[activity_id_for(nxt), activity_id_for(prev)] = None
+            doc.was_informed_by[nxt_id, prev_id] = None
 
 
 def token_to_prov_fragment(token) -> ProvDocument:
@@ -178,46 +196,79 @@ _RELATIONS = (
 )
 
 
-# The leaves of one member, as one JSON array whose separators are the ones
-# `indent=2` writes between the keys of a leaf (a leaf's keys sit 6 deep).
+# The leaves of one node member, as one JSON array whose separators are the
+# ones `indent=2` writes between the keys of a leaf (a leaf's keys sit 6 deep).
 _LEAVES = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _LEAF_BREAK = "},\n      {"
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _indent2(out: dict) -> str:
-    """`json.dumps(out, sort_keys=True, indent=2)`, with one C-encoder call per member.
+class _Quoted(dict):
+    """Node id -> its JSON string text, quoted on first use; one per export."""
 
-    `out` must be a dict of members, each a dict of ids to flat dicts whose
-    values are str, int or bool. Each member's sorted leaves are encoded as
-    one array, which is split at every `_LEAF_BREAK`. With `ensure_ascii` a
-    newline inside a string is escaped, so a raw newline only comes from a
-    separator, and since no leaf value is a dict, a `}` before a separator
-    closes a leaf: the array splits into exactly its leaves.
+    def __missing__(self, node_id: str) -> str:
+        text = self[node_id] = _quote(node_id)
+        return text
+
+
+def _indent2(nodes: dict, quoted: _Quoted) -> list:
+    """The entries of a node member as `json.dumps(..., sort_keys=True,
+    indent=2)` writes them inside the document, from one C-encoder call.
+
+    `nodes` must map ids to flat dicts whose values are str, int or bool.
+    The sorted leaves are encoded as one array, which is split at every
+    `_LEAF_BREAK`. With `ensure_ascii` a newline inside a string is escaped,
+    so a raw newline only comes from a separator, and since no leaf value is
+    a dict, a `}` before a separator closes a leaf: the array splits into
+    exactly its leaves.
     """
-    members = []
-    for key, items in sorted(out.items()):
-        if not items:
-            members.append(f"  {_quote(key)}: {{}}")
-            continue
-        ids = sorted(items)
-        leaves = _LEAVES.encode([items[i] for i in ids])[2:-2].split(_LEAF_BREAK)
-        entries = ",\n".join(
-            f"    {_quote(i)}: {{\n      {leaf}\n    }}" if leaf else f"    {_quote(i)}: {{}}"
-            for i, leaf in zip(ids, leaves)
-        )
-        members.append(f"  {_quote(key)}: {{\n{entries}\n  }}")
-    return "{\n" + ",\n".join(members) + "\n}" if members else "{}"
+    ids = sorted(nodes)
+    leaves = _LEAVES.encode([nodes[i] for i in ids])[2:-2].split(_LEAF_BREAK)
+    return [
+        f"    {quoted[i]}: {{\n      {leaf}\n    }}" if leaf else f"    {quoted[i]}: {{}}"
+        for i, leaf in zip(ids, leaves)
+    ]
+
+
+def _pairs(relation: dict, prefix: str, roles: tuple, quoted: _Quoted) -> list:
+    """The entries of a relation member as `json.dumps(..., sort_keys=True,
+    indent=2)` writes them inside the document, as text.
+
+    The pairs are sorted and pair i (from 1) becomes the leaf `{prefix}{i}`,
+    whose two keys are `roles` in sorted order. The leaves are written in the
+    order `sort_keys` gives their ids: u1, u10, u100, ..., u2. The prefix and
+    the roles are plain ASCII, written as they are; each node is str.
+    """
+    pairs = sorted(relation)
+    first, second = sorted(roles)
+    if first != roles[0]:
+        pairs = [(b, a) for a, b in pairs]
+    head = f'    "{prefix}'
+    mid = f'": {{\n      "{first}": '
+    sep = f',\n      "{second}": '
+    # The number texts are distinct, so the sort orders by them alone.
+    numbered = sorted(zip(map(str, range(1, len(pairs) + 1)), pairs))
+    return [f"{head}{number}{mid}{quoted[a]}{sep}{quoted[b]}\n    }}" for number, (a, b) in numbered]
 
 
 def export_prov_json(doc: ProvDocument) -> bytes:
     """Deterministic PROV-JSON: one object with exactly the eight members,
-    the bytes of `json.dumps(..., sort_keys=True, indent=2)` (see `_indent2`).
+    the bytes of `json.dumps(..., sort_keys=True, indent=2)`.
 
     `sort_keys` orders every object; relation ids number the sorted pairs.
+    The node members come from `_indent2`, the relations from `_pairs`, and
+    each node id is quoted once.
     """
-    out = {"entity": doc.entities, "activity": doc.activities, "agent": doc.agents}
+    quoted = _Quoted()
+    members = {
+        "entity": _indent2(doc.entities, quoted),
+        "activity": _indent2(doc.activities, quoted),
+        "agent": _indent2(doc.agents, quoted),
+    }
     for attr, key, prefix, roles in _RELATIONS:
-        pairs = sorted(getattr(doc, attr))
-        out[key] = {f"{prefix}{i}": dict(zip(roles, pair)) for i, pair in enumerate(pairs, 1)}
-    return _indent2(out).encode("utf-8")
+        members[key] = _pairs(getattr(doc, attr), prefix, roles, quoted)
+    texts = [
+        f'  "{key}": {{\n' + ",\n".join(entries) + "\n  }" if entries else f'  "{key}": {{}}'
+        for key, entries in sorted(members.items())
+    ]
+    return ("{\n" + ",\n".join(texts) + "\n}").encode("utf-8")

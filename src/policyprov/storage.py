@@ -68,11 +68,13 @@ def policy_ids(records) -> list[str]:
     return list(dict.fromkeys(rec.body["policy_id"] for rec in records if "policy_id" in rec.body))
 
 
-def _actor_matches(body: dict, actor: str) -> bool:
-    """Whether `actor`, a full "network/actor" address or a bare actor id, names an address of `body`."""
+def _actor_matches(body: dict, actor: str, suffix: Optional[str]) -> bool:
+    """Whether `actor` names an address text of `body`. An actor holding "/"
+    names only an equal text; a bare actor id, whose `suffix` is "/" + actor,
+    also names every text that ends in that suffix."""
     for key in _ADDRESS_FIELDS:
         value = body.get(key)
-        if isinstance(value, str) and (value == actor or value.rpartition("/")[2] == actor):
+        if isinstance(value, str) and (value == actor or suffix is not None and value.endswith(suffix)):
             return True
     return False
 
@@ -125,6 +127,7 @@ class EventLog:
     ) -> list[EventRecord]:
         """Exact-match conjunction over the filters, in offset order."""
         out = []
+        suffix = None if actor is None or "/" in actor else "/" + actor
         for rec in self._records:
             if offset_range is not None and not (offset_range[0] <= rec.offset <= offset_range[1]):
                 continue
@@ -137,7 +140,7 @@ class EventLog:
                 continue
             if phase_id is not None and body.get("phase_id") != phase_id:
                 continue
-            if actor is not None and not _actor_matches(body, actor):
+            if actor is not None and not _actor_matches(body, actor, suffix):
                 continue
             out.append(rec)
         return out

@@ -169,6 +169,16 @@ class TestSequencing:
         second = local(system, SNT, policy.policy_id)
         assert (first.seq_num, second.seq_num) == (1, 2)
         assert seq_violations(system.log) == []
+        # Nor a logical time or a token-id draw: the log is the one a run
+        # without the refused call writes.
+        first_time, second_time = (rec.logical_time for rec in system.log.scan(event_kind="local-token"))
+        assert second_time == first_time + 1
+        plain = make_system()
+        plain_policy = open_policy(plain)
+        define_default_goal(plain, plain_policy)
+        local(plain, SNT, plain_policy.policy_id)
+        assert local(plain, SNT, plain_policy.policy_id).token_id == second.token_id
+        assert system.log.content_hash() == plain.log.content_hash()
 
     def test_unknown_policy_rejected(self):
         system = make_system()

@@ -189,3 +189,37 @@ def test_export_is_json_dumps_indent_2(entities, activities, agents, relations):
     for (attr, key, prefix, roles), pairs in zip(_RELATIONS, relations):
         reference[key] = {f"{prefix}{i}": dict(zip(roles, pair)) for i, pair in enumerate(sorted(set(pairs)), 1)}
     assert export_prov_json(doc) == json.dumps(reference, sort_keys=True, indent=2).encode("utf-8")
+
+
+# Node ids holding a quote, a backslash, a raw newline, U+2028 and an astral character.
+_AWKWARD = ['say "hi"', "back\\slash", "raw\nnewline", "line\u2028separator", "astral \U0001f600", "plain"]
+
+
+def _dumps_reference(doc: ProvDocument) -> bytes:
+    out = {"entity": doc.entities, "activity": doc.activities, "agent": doc.agents}
+    for attr, key, prefix, roles in _RELATIONS:
+        pairs = sorted(getattr(doc, attr))
+        out[key] = {f"{prefix}{i}": dict(zip(roles, pair)) for i, pair in enumerate(pairs, 1)}
+    return json.dumps(out, sort_keys=True, indent=2).encode("utf-8")
+
+
+def _doc_with_relations_of(size: int) -> ProvDocument:
+    """Every relation holds `size` distinct pairs, added against their sorted order."""
+    ids = [f"{_AWKWARD[i % len(_AWKWARD)]} {i}" for i in range(size)]
+    doc = ProvDocument(
+        entities={i: {"label": i, "n": n} for n, i in enumerate(ids[::3])},
+        activities={i: {"start": n, "end": n + 1} for n, i in enumerate(ids[1::3])},
+        agents={i: {"actor": i, "ok": True} for i in ids[2::3]},
+    )
+    for step, (attr, *_) in enumerate(_RELATIONS, 2):
+        relation = getattr(doc, attr)
+        for i in reversed(range(size)):
+            relation[ids[i], ids[(i * step + 1) % size]] = None
+        assert len(relation) == size
+    return doc
+
+
+@pytest.mark.parametrize("size", [9, 10, 11, 99, 100, 101, 1234])  # the ids cross digit counts
+def test_relations_of_many_pairs_are_json_dumps_indent_2(size):
+    doc = _doc_with_relations_of(size)
+    assert export_prov_json(doc) == _dumps_reference(doc)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import policyprov
@@ -22,7 +22,7 @@ from policyprov.prov import build_prov
 from policyprov.reconstruct import reconstruct_process
 from policyprov.storage import EVENT_KINDS
 
-from conftest import oracle_scan
+from conftest import ADDRESS_KEYS, oracle_scan
 
 # A record that is valid as the second record of a log whose first is at logical time 1.
 SECOND_RECORD = b'{"body":{"policy_id":"pol-1"},"event_kind":"decision","logical_time":2,"offset":1}'
@@ -319,6 +319,17 @@ _BODY = st.fixed_dictionaries(
 )
 
 
+# Address texts with no, one and two "/", empty segments, and values that are
+# not text; actors with and without "/".
+_ADDRESS_VALUE = st.one_of(
+    st.sampled_from(["a", "n0/a", "x/y/z", "x/y/a", "", "/", "a/", "/a", "n0/ba", "n0/a/"]),
+    st.text(alphabet="az/", max_size=5),
+    st.integers(), st.none(), st.booleans(), st.lists(st.just("a"), max_size=1),
+)
+_ACTOR = st.one_of(st.sampled_from(["a", "z", "", "/", "n0/a", "x/y/z", "y/z", "/a", "a/"]),
+                   st.text(alphabet="az/", max_size=4))
+
+
 class TestScan:
     @given(
         bodies=st.lists(_BODY, max_size=12),
@@ -344,6 +355,25 @@ class TestScan:
         for i in range(6):
             log.append("decision", {"policy_id": "pol-1"}, i + 1)
         assert [r.offset for r in log.scan(offset_range=(2, 4))] == [2, 3, 4]
+
+    @given(
+        bodies=st.lists(st.dictionaries(st.sampled_from(ADDRESS_KEYS + ("policy_id",)), _ADDRESS_VALUE, max_size=4),
+                        max_size=8),
+        actor=_ACTOR,
+    )
+    @example(bodies=[{"by": "x/y/z"}, {"by": "n0/y/z"}, {"by": "y/z"}], actor="y/z")  # an actor holding "/"
+    @example(bodies=[{"by": "n0/"}, {"by": ""}, {"by": 0}, {"by": "n0/a"}], actor="")
+    def test_actor_names_the_last_segment_of_an_address(self, bodies, actor):
+        # The rule `scan` keeps: an address text is named by itself and by the
+        # text after its last "/"; anything that is not text is never named.
+        def named(value):
+            return isinstance(value, str) and (value == actor or value.rpartition("/")[2] == actor)
+
+        log = EventLog()
+        for i, body in enumerate(bodies):
+            log.append("decision", body, i + 1)
+        want = [i for i, body in enumerate(bodies) if any(named(body.get(key)) for key in ADDRESS_KEYS)]
+        assert [r.offset for r in log.scan(actor=actor)] == want
 
     def test_filters_are_a_conjunction(self):
         log = EventLog()

@@ -341,13 +341,19 @@ def _check_metric_ids(goal_id: str, metrics: list[Metric]) -> None:
 
 
 def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Optional[int] = None) -> list[Goal]:
-    """Rebuild goal state purely from recorded goal events."""
+    """Rebuild goal state purely from recorded goal events; a body it cannot read is a `CorruptLogError`."""
     book = GoalBook()
     for rec in log:
         if upto is not None and rec.offset > upto:
             break
         if rec.event_kind in GOAL_KINDS and (policy_id is None or rec.body.get("policy_id") == policy_id):
-            book.apply(rec.event_kind, rec.body)
+            try:
+                book.apply(rec.event_kind, rec.body)
+            # A field missing, or of a bad type or value (an approver that is not text has no `partition`).
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise CorruptLogError(
+                    f"offset {rec.offset}: {rec.event_kind} body is not a goal record: {exc!r}"
+                ) from None
     return list(book.goals.values())
 
 

@@ -11,9 +11,9 @@ Artifacts are identified by canonical name within a policy, so entities named
 in multiple tokens unify and the graph connects.
 
 The export is the text of `json.dumps(..., sort_keys=True, indent=2)`: any
-`indent` would send the standard library to its pure-Python encoder, so each
-node member is built from one C-encoder call (`_indent2`) and each relation
-member is written as text from its sorted pairs (`_pairs`).
+`indent` would send the standard library to its pure-Python encoder, so every
+member is written as text, a node member from its sorted nodes (`_nodes`) and
+a relation member from its sorted pairs (`_pairs`).
 """
 
 from __future__ import annotations
@@ -164,21 +164,22 @@ def _add_routed(doc: ProvDocument, token: RoutedToken, view: PolicyView):
 
 def token_to_prov_fragment(token) -> ProvDocument:
     """Map one token to a standalone fragment."""
-    doc = ProvDocument()
     if isinstance(token, LocalToken):
-        _add_local(doc, token, PolicyView(token.policy_id, [token], [], {}))
-    elif isinstance(token, RoutedToken):
-        _add_routed(doc, token, PolicyView(token.policy_id, [], [token], {}))
-    else:
-        raise TypeError(f"cannot map {type(token).__name__} to provenance")
-    return doc
+        return _prov(PolicyView(token.policy_id, [token], [], {}))
+    if isinstance(token, RoutedToken):
+        return _prov(PolicyView(token.policy_id, [], [token], {}))
+    raise TypeError(f"cannot map {type(token).__name__} to provenance")
 
 
 def build_prov(log: EventLog, policy_id: str) -> ProvDocument:
     """Union of fragments over all events of the policy, in time order."""
-    view = view_of(log, policy_id)
+    return _prov(view_of(log, policy_id))
+
+
+def _prov(view: PolicyView) -> ProvDocument:
+    """The view's tokens mapped in time order, locals first on ties."""
     doc = ProvDocument()
-    for token in sorted(view.locals + view.sends, key=attrgetter("timestamp")):  # locals first on ties
+    for token in sorted(view.locals + view.sends, key=attrgetter("timestamp")):
         if isinstance(token, LocalToken):
             _add_local(doc, token, view)
         else:
@@ -196,41 +197,38 @@ _RELATIONS = (
 )
 
 
-# The leaves of one node member, as one JSON array whose separators are the
-# ones `indent=2` writes between the keys of a leaf (a leaf's keys sit 6 deep).
-_LEAVES = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-_LEAF_BREAK = "},\n      {"
 _quote = json.encoder.encode_basestring_ascii
 
 
-class _Quoted(dict):
-    """Node id -> its JSON string text, quoted on first use; one per export."""
-
-    def __missing__(self, node_id: str) -> str:
-        text = self[node_id] = _quote(node_id)
-        return text
-
-
-def _indent2(nodes: dict, quoted: _Quoted) -> list:
+def _nodes(nodes: dict) -> list:
     """The entries of a node member as `json.dumps(..., sort_keys=True,
-    indent=2)` writes them inside the document, from one C-encoder call.
+    indent=2)` writes them inside the document, as text.
 
-    `nodes` must map ids to flat dicts whose values are str, int or bool.
-    The sorted leaves are encoded as one array, which is split at every
-    `_LEAF_BREAK`. With `ensure_ascii` a newline inside a string is escaped,
-    so a raw newline only comes from a separator, and since no leaf value is
-    a dict, a `}` before a separator closes a leaf: the array splits into
-    exactly its leaves.
+    Ids and attribute keys are written in sorted order; a str value is
+    quoted and an int or bool is written as `json.dumps` writes it. Any other
+    value raises `TypeError` naming its node and key.
     """
-    ids = sorted(nodes)
-    leaves = _LEAVES.encode([nodes[i] for i in ids])[2:-2].split(_LEAF_BREAK)
-    return [
-        f"    {quoted[i]}: {{\n      {leaf}\n    }}" if leaf else f"    {quoted[i]}: {{}}"
-        for i, leaf in zip(ids, leaves)
-    ]
+    entries = []
+    for node_id in sorted(nodes):
+        attrs = nodes[node_id]
+        fields = []
+        for key in sorted(attrs):
+            value = attrs[key]
+            if isinstance(value, str):
+                text = _quote(value)
+            elif isinstance(value, bool):
+                text = "true" if value else "false"
+            elif isinstance(value, int):
+                text = int.__repr__(value)
+            else:
+                raise TypeError(f"node {node_id!r}, key {key!r}: {type(value).__name__} is not str, int or bool")
+            fields.append(f"{_quote(key)}: {text}")
+        body = ",\n      ".join(fields)
+        entries.append(f"    {_quote(node_id)}: {{\n      {body}\n    }}" if fields else f"    {_quote(node_id)}: {{}}")
+    return entries
 
 
-def _pairs(relation: dict, prefix: str, roles: tuple, quoted: _Quoted) -> list:
+def _pairs(relation: dict, prefix: str, roles: tuple) -> list:
     """The entries of a relation member as `json.dumps(..., sort_keys=True,
     indent=2)` writes them inside the document, as text.
 
@@ -248,7 +246,7 @@ def _pairs(relation: dict, prefix: str, roles: tuple, quoted: _Quoted) -> list:
     sep = f',\n      "{second}": '
     # The number texts are distinct, so the sort orders by them alone.
     numbered = sorted(zip(map(str, range(1, len(pairs) + 1)), pairs))
-    return [f"{head}{number}{mid}{quoted[a]}{sep}{quoted[b]}\n    }}" for number, (a, b) in numbered]
+    return [f"{head}{number}{mid}{_quote(a)}{sep}{_quote(b)}\n    }}" for number, (a, b) in numbered]
 
 
 def export_prov_json(doc: ProvDocument) -> bytes:
@@ -256,17 +254,10 @@ def export_prov_json(doc: ProvDocument) -> bytes:
     the bytes of `json.dumps(..., sort_keys=True, indent=2)`.
 
     `sort_keys` orders every object; relation ids number the sorted pairs.
-    The node members come from `_indent2`, the relations from `_pairs`, and
-    each node id is quoted once.
     """
-    quoted = _Quoted()
-    members = {
-        "entity": _indent2(doc.entities, quoted),
-        "activity": _indent2(doc.activities, quoted),
-        "agent": _indent2(doc.agents, quoted),
-    }
+    members = {"entity": _nodes(doc.entities), "activity": _nodes(doc.activities), "agent": _nodes(doc.agents)}
     for attr, key, prefix, roles in _RELATIONS:
-        members[key] = _pairs(getattr(doc, attr), prefix, roles, quoted)
+        members[key] = _pairs(getattr(doc, attr), prefix, roles)
     texts = [
         f'  "{key}": {{\n' + ",\n".join(entries) + "\n  }" if entries else f'  "{key}": {{}}'
         for key, entries in sorted(members.items())

@@ -151,7 +151,7 @@ def _graph(view: PolicyView, phase_order=None, include_notifications=False, toke
         dst_node = activity_id_for(dst) if dst else None
         if kept is None or (src_node in kept and dst_node in kept):
             found.append((token, src_node, dst_node))
-    patterns = _classify_sends(view, {str(token.source_address) for token, _, _ in found})
+    patterns = _classify_sends(view, {token.source_address for token, _, _ in found})
     for token, src_node, dst_node in found:
         graph.edges.append(ProcessEdge(
             token.token_id, str(token.source_address), str(token.destination_address), token.kind,

@@ -173,7 +173,7 @@ class EventLog:
         its index, whose logical time is not an int or is before the previous
         record's, or whose `policy_id` is there and not text. A last line with
         no newline that is not JSON raises `TornLogError`: the writer stopped
-        mid-append."""
+        mid-append. The next `tick` is the last record's logical time + 1."""
         log = cls()
         records = log._records
         last_time = -math.inf
@@ -214,6 +214,8 @@ class EventLog:
                     raise CorruptLogError(f"line {number}: policy_id {body['policy_id']!r} is not text")
                 last_time = logical_time
                 records.append(EventRecord(offset, event_kind, logical_time, body))
+        if records:
+            log._now = last_time
         return log
 
 

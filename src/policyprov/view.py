@@ -26,8 +26,8 @@ def activity_id_for(token: LocalToken) -> str:
 _time = attrgetter("timestamp")
 
 
-def _actor(token) -> str:
-    return str(token.who_carried_out if isinstance(token, LocalToken) else token.source_address)
+def _actor(token) -> Address:
+    return token.who_carried_out if isinstance(token, LocalToken) else token.source_address
 
 
 def _index(tokens, key) -> dict:
@@ -44,7 +44,7 @@ def _index(tokens, key) -> dict:
 
 
 class PolicyView:
-    """Actors are keyed as "network/actor" strings; each index is built on first use."""
+    """Actors are keyed by `Address`, which compares by value; each index is built on first use."""
 
     def __init__(self, policy_id: str, locals_: list, sends: list, receives: dict):
         self.policy_id = policy_id
@@ -58,7 +58,7 @@ class PolicyView:
 
     @cached_property
     def _by_task(self) -> dict:
-        return _index(self.locals, lambda t: (str(t.who_carried_out), t.task))
+        return _index(self.locals, lambda t: (t.who_carried_out, t.task))
 
     @cached_property
     def _event_times(self) -> dict:
@@ -79,7 +79,7 @@ class PolicyView:
         """(source, destination) -> delivered work sends' times, suffix minimum of arrivals."""
         delivered = [t for t in self._work_sends if t.token_id in self.receives]
         out = {}
-        routes = _index(delivered, lambda t: (str(t.source_address), str(t.destination_address)))
+        routes = _index(delivered, lambda t: (t.source_address, t.destination_address))
         for route, (times, tokens) in routes.items():
             arrivals = reversed([self.receives[t.token_id] for t in tokens])
             out[route] = (times, list(accumulate(arrivals, min))[::-1])
@@ -88,33 +88,33 @@ class PolicyView:
     def previous(self, actor: Address, at: int, task: Optional[str] = None) -> Optional[LocalToken]:
         """The actor's last activity at or before `at`; its last one of `task` if any."""
         if task:
-            found = _last_at(self._by_task.get((str(actor), task)), at)
+            found = _last_at(self._by_task.get((actor, task)), at)
             if found is not None:
                 return found
-        return _last_at(self._by_actor.get(str(actor)), at)
+        return _last_at(self._by_actor.get(actor), at)
 
     def next(self, actor: Address, after: int) -> Optional[LocalToken]:
         """The actor's first activity at or after `after`."""
-        times, tokens = self._by_actor.get(str(actor), ((), ()))
+        times, tokens = self._by_actor.get(actor, ((), ()))
         i = bisect_left(times, after)
         return tokens[i] if i < len(tokens) else None
 
     def end_time(self, token: LocalToken) -> int:
         """End = time of the actor's next event, or its own timestamp if terminal."""
-        times = self._event_times.get(str(token.who_carried_out), ())
+        times = self._event_times.get(token.who_carried_out, ())
         i = bisect_right(times, token.timestamp)
         return times[i] if i < len(times) else token.timestamp
 
     def first_response(self, sent: RoutedToken) -> Optional[int]:
         """Arrival time of the first later work token back from the receiver."""
-        route = (str(sent.destination_address), str(sent.source_address))
+        route = (sent.destination_address, sent.source_address)
         times, suffix_min = self._replies.get(route, ((), ()))
         i = bisect_right(times, sent.timestamp)
         return suffix_min[i] if i < len(suffix_min) else None
 
     def next_activity(self, actor: Address, after: int) -> Optional[int]:
         """Time of the actor's first local token or work send after `after`."""
-        times, _ = self.timelines.get(str(actor), ((), ()))
+        times, _ = self.timelines.get(actor, ((), ()))
         i = bisect_right(times, after)
         return times[i] if i < len(times) else None
 

@@ -665,6 +665,34 @@ def test_goal_id_of_another_policy_in_a_loaded_log_is_corrupt(second_kind):
             fold(log)
 
 
+def _without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
+_REPORT = goal_record("g-1", "pol-1", "report", [metric_record("m1", artifact="report")])
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("goal-defined", _without(_REPORT, "phase_id")),
+    ("goal-defined", _REPORT | {"metrics": [metric_record("m1", artifact="report") | {"kind": "bogus"}]}),
+    ("goal-defined", _REPORT | {"metrics": "x"}),
+    ("goal-defined", _REPORT | {"metrics": [5]}),
+    ("goal-modified", _REPORT | {"metrics": [metric_record("m1", approver="local-council/bcu") | {"approver": 5}]}),
+    ("goal-satisfied", {"policy_id": "pol-1", "phase_id": "agenda-setting"}),
+], ids=["no-phase-id", "bogus-metric-kind", "metrics-text", "metric-int", "approver-int", "satisfied-no-goal-id"])
+def test_malformed_goal_record_in_a_loaded_log_is_corrupt(tmp_path, kind, body):
+    """A goal record the fold cannot read raises `CorruptLogError` naming its
+    offset, where it ended in a bare KeyError, ValueError, TypeError or AttributeError."""
+    path = tmp_path / "events.jsonl"
+    log = EventLog(path)
+    log.append(kind, body, 1)
+    log.close()
+    loaded = EventLog.load(path)
+    for fold in (trace_of, fold_goal_state):
+        with pytest.raises(CorruptLogError, match=f"^offset 0: {kind} body is not a goal record: "):
+            fold(loaded)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_live_goals_equal_the_fold_after_every_record(seed):

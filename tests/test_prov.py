@@ -142,6 +142,15 @@ class TestExport:
         b = export_prov_json(build_prov(system_b.log, policy.policy_id))
         assert a == b
 
+    @pytest.mark.parametrize("member", ["entities", "activities", "agents"])
+    @pytest.mark.parametrize("value", [None, 1.5, ["a"], {"a": 1}], ids=["none", "float", "list", "dict"])
+    def test_node_value_other_than_str_int_or_bool_is_refused(self, member, value):
+        """A node value is written as text only when it is str, int or bool;
+        any other type raises `TypeError` naming its node and key."""
+        doc = ProvDocument(**{member: {"n:1": {"label": "x", "odd": value}}})
+        with pytest.raises(TypeError, match=r"^node 'n:1', key 'odd': "):
+            export_prov_json(doc)
+
     def test_relations_reference_declared_nodes(self):
         system, policy = build_sample()
         exported = json.loads(export_prov_json(build_prov(system.log, policy.policy_id)))

@@ -74,6 +74,17 @@ class TestEventLog:
         assert [rec.to_json() for rec in loaded] == [rec.to_json() for rec in log]
         assert loaded.content_hash() == log.content_hash()
 
+    def test_loaded_log_ticks_after_its_last_record(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
+        log.append("decision", {"policy_id": "pol-1"}, 3)
+        log.append("decision", {"policy_id": "pol-1"}, 7)
+        log.close()
+        assert EventLog.load(path).tick() == 8
+        empty = tmp_path / "empty.jsonl"
+        empty.touch()
+        assert EventLog.load(empty).tick() == 1
+
     @staticmethod
     def _log_whose_line_3_is(path, line: bytes):
         log = EventLog()

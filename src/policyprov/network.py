@@ -47,6 +47,7 @@ from .model import (
     RoutedToken,
     StakeholderNature,
     TokenKind,
+    record_text,
     validate_local_token,
     validate_routed_token,
 )
@@ -188,7 +189,7 @@ class NetworkEngine:
     ) -> LocalToken:
         self._require_active(policy_id)
         self._require_actor(actor)
-        token, _ = self._issue(
+        token, _, _ = self._issue(
             LocalToken, validate_local_token, "local-token", actor, policy_id, goal_id, phase_id, {
                 "task": task,
                 "task_input": task_input,
@@ -227,7 +228,7 @@ class NetworkEngine:
         self._require_actor(actor)
         if destination == actor:
             raise SelfDestinationError("self-messaging must use a local token")
-        token, record = self._issue(
+        token, record, text = self._issue(
             RoutedToken, validate_routed_token, "routed-token-send", actor, policy_id, goal_id, phase_id, {
                 "previous_task": previous_task,
                 "previous_task_output": previous_task_output,
@@ -244,16 +245,18 @@ class NetworkEngine:
                 "destination_address": destination,
                 "kind": kind,
             })
-        return token, self._route(token, record)
+        return token, self._route(token, record, text)
 
     def _issue(self, cls, validate, event_kind, actor, policy_id, goal_id, phase_id, fields):
         """The controller step of both token kinds: stamp goal and phase, take
         the next sequence number, build a `cls` token with the caller's
-        `fields`, check it with `validate` and log its record as `event_kind`.
-        Only a valid token draws its id, takes a fresh tick and writes the
-        sequence counter, so a refused token leaves no trace. The validator
-        sees the token with a placeholder id and time of the right types; the
-        token is still private here, so the two are then set in place."""
+        `fields`, check it with `validate` and log its record as `event_kind`,
+        written as text from its field table; it returns the token, its record
+        and that text. Only a valid token draws its id, takes a fresh tick and
+        writes the sequence counter, so a refused token leaves no trace. The
+        validator sees the token with a placeholder id and time of the right
+        types; the token is still private here, so the two are then set in
+        place."""
         goal_id, phase_id = self._stamp(policy_id, goal_id, phase_id)
         key = (actor.network_id, policy_id)
         seq_num = self._seq.get(key, 0) + 1
@@ -270,23 +273,28 @@ class NetworkEngine:
         )
         self._seq[key] = seq_num
         record = token.to_record()
-        self.log.append(event_kind, record, token.timestamp)
-        return token, record
+        text = record_text(cls, record)
+        self.log.append(event_kind, record, token.timestamp, text)
+        return token, record, text
 
     # -- delivery -------------------------------------------------------------
 
     def route_external(self, token: RoutedToken) -> DeliveryReceipt:
-        """Connector-to-connector handoff; exactly once per token_id."""
+        """Connector-to-connector handoff; exactly once per token_id. The token
+        comes from outside this engine, so its record is written from its field
+        table only if it is valid, and otherwise by the log's encoder."""
         dst_net = token.destination_address.network_id
         if token.source_address.network_id == dst_net:
             raise IntraNetworkRouteError(dst_net)
-        return self._route(token, token.to_record())
+        record = token.to_record()
+        text = record_text(RoutedToken, record) if validate_routed_token(token).ok else None
+        return self._route(token, record, text)
 
-    def _route(self, token: RoutedToken, record: dict) -> DeliveryReceipt:
+    def _route(self, token: RoutedToken, record: dict, text: Optional[str]) -> DeliveryReceipt:
         """The one delivery decision: each token_id is delivered at most once,
         and only to a registered actor of the sender's network or of a network
-        linked to it. `record` is the token's flat record; a delivery logs a
-        copy of it."""
+        linked to it. `record` is the token's flat record and `text` its JSON
+        text; a delivery logs a copy of the record with that same text."""
         if token.token_id in self._delivered:
             return self._receipt(token, "duplicate-ignored")
         src_net = token.source_address.network_id
@@ -296,7 +304,7 @@ class NetworkEngine:
         ):
             return self._receipt(token, "dead-letter")
         self._delivered.add(token.token_id)
-        self.log.append("routed-token-receive", dict(record), self.log.tick())
+        self.log.append("routed-token-receive", dict(record), self.log.tick(), text)
         receipt = self._receipt(token, "delivered")
         self.goals.evaluate_event(token)
         if self.on_delivered is not None:

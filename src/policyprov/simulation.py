@@ -16,7 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Union, get_type_hints
 
-from .errors import RunawayScenarioError, ScenarioError, UnknownPolicyError
+from .errors import CorruptLogError, RunawayScenarioError, ScenarioError, UnknownPolicyError
 from .goals import Metric, MetricKind, goal_snapshots
 from .model import DEFAULT_PHASES, Address, RoutedToken
 from .network import NetworkEngine
@@ -427,7 +427,14 @@ def build_system(
 
 
 def trace_of(log: EventLog) -> RunTrace:
-    receipt_summary = Counter(rec.body["outcome"] for rec in log if rec.event_kind == "receipt")
+    """A body it cannot read, a receipt's or a goal record's, is a `CorruptLogError`."""
+    receipt_summary = Counter()
+    for rec in log:
+        if rec.event_kind == "receipt":
+            outcome = rec.body.get("outcome")
+            if type(outcome) is not str:
+                raise CorruptLogError(f"offset {rec.offset}: receipt body has no text outcome: {outcome!r}")
+            receipt_summary[outcome] += 1
     return RunTrace(
         log=log,
         offsets=range(len(log)),

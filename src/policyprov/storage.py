@@ -33,6 +33,10 @@ EVENT_KINDS = (
 
 # One canonical encoder for every record: sorted keys, no spaces, ASCII only.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# Each kind's part of a line between the body and the logical time. A line is
+# `{"body":…,"event_kind":"…","logical_time":N,"offset":N}`, its keys in sorted
+# order, as `EventRecord.to_json` writes it.
+_KIND_TEXT = {kind: f',"event_kind":"{kind}","logical_time":' for kind in EVENT_KINDS}
 # One decoder for every line `load` reads.
 _DECODE = json.JSONDecoder().raw_decode
 
@@ -100,21 +104,36 @@ class EventLog:
         self._now += 1
         return self._now
 
-    def append(self, event_kind: str, body: dict, logical_time: int) -> int:
-        if event_kind not in EVENT_KINDS:
+    def append(self, event_kind: str, body: dict, logical_time: int, text: Optional[str] = None) -> int:
+        """Append a record and return its offset. `text`, when given, is the
+        body's JSON as `_ENCODER` writes it, and is written as it is. A record
+        `load` would refuse is not kept: an unknown kind raises `ValueError`,
+        and a logical time that is not an int, a body that is not a dict or a
+        `policy_id` that is not text raise `TypeError`. Time order is checked
+        by `load` alone."""
+        kind_text = _KIND_TEXT.get(event_kind)
+        if kind_text is None:
             raise ValueError(f"unknown event kind: {event_kind}")
-        record = EventRecord(len(self._records), event_kind, logical_time, body)
-        self._records.append(record)
+        if type(logical_time) is not int:
+            raise TypeError(f"logical_time {logical_time!r} is not an integer")
+        if not isinstance(body, dict):
+            raise TypeError(f"body {body!r} is not a dict")
+        if type(body.get("policy_id", "")) is not str:
+            raise TypeError(f"policy_id {body['policy_id']!r} is not text")
+        if self._fh is not None and text is None:
+            text = _ENCODER.encode(body)  # first, so that a body it refuses is not kept
+        offset = len(self._records)
+        self._records.append(EventRecord(offset, event_kind, logical_time, body))
         if self._fh is not None:
             # The file is only ever opened in __init__, so every earlier
             # record was hashed here too. The flush makes each record durable
             # once append returns.
-            line = (record.to_json() + "\n").encode("utf-8")
+            line = f'{{"body":{text}{kind_text}{logical_time},"offset":{offset}}}\n'.encode("utf-8")
             self._fh.write(line)
             self._fh.flush()
             self._digest.update(line)
             self._hashed += 1
-        return record.offset
+        return offset
 
     def scan(
         self,

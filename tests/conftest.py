@@ -25,9 +25,9 @@ NWT = Address("local-council", "neighbourhood-watch-team")
 COMMUNITY = Address("citizens", "community")
 
 
-def make_system(seed=0, phases=("agenda-setting", "analysis")) -> PolicySystem:
+def make_system(seed=0, phases=("agenda-setting", "analysis"), log_path=None) -> PolicySystem:
     """Council + citizens networks with the case-study cast of actors."""
-    system = PolicySystem(phases=phases, seed=seed, owner=OWNER)
+    system = PolicySystem(phases=phases, seed=seed, owner=OWNER, log_path=log_path)
     system.register_network("local-council")
     system.register_network("citizens")
     for addr in (OWNER, SNT, BCU, NWT):

@@ -8,7 +8,7 @@ import json
 from enum import Enum
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from policyprov.errors import CorruptLogError
@@ -20,8 +20,11 @@ from policyprov.model import (
     RoutedToken,
     StakeholderNature,
     TokenKind,
+    record_text,
+    validate_local_token,
+    validate_routed_token,
 )
-from policyprov.storage import EventLog
+from policyprov.storage import _ENCODER, EventLog
 from policyprov.view import views_of
 
 from test_model import make_local, make_routed
@@ -177,3 +180,49 @@ def test_missing_and_unknown_fields_are_named(cls, extra, message):
     del rec["task_description"]
     with pytest.raises(ValueError, match=f"^{message}$"):
         cls.from_record(rec | extra)
+
+
+# Text that JSON escapes or writes as \u escapes: quotes, backslashes, control
+# characters, U+2028, non-ASCII and astral characters; and empty text.
+tricky_texts = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\u2029", "é", "東", "\U0001f600",
+                     "\U0010ffff"]) | st.characters(),
+    max_size=8,
+)
+tricky_ids = st.text(st.characters().filter(lambda c: c != "/"), min_size=1, max_size=4)
+
+
+@st.composite
+def valid_tokens(draw, cls):
+    """A token of `cls` its validator accepts, with tricky text and ints up to 2**70."""
+    kind = draw(st.sampled_from([member.value for member in TokenKind]))
+    # Every text field of a local token is mandatory; a notification must fill only three.
+    optional = (set() if cls is LocalToken or kind != TokenKind.NOTIFICATION.value
+                else set(SCHEMAS[cls]) - {"token_id", "policy_id", "task_description"})
+    source, destination = draw(st.lists(st.builds("{}/{}".format, tricky_ids, tricky_ids),
+                                        min_size=2, max_size=2, unique=True))
+    rec = {}
+    for name, field_kind in SCHEMAS[cls].items():
+        if field_kind == TEXT:
+            rec[name] = draw(tricky_texts if name in optional else tricky_texts.filter(bool))
+        elif field_kind == OPTIONAL:
+            rec[name] = draw(st.none() | tricky_texts)
+        elif field_kind == INT:
+            rec[name] = draw(st.integers(1 if name == "seq_num" else -2**70, 2**70))
+        elif field_kind is Address:
+            rec[name] = source if name == "source_address" else destination
+        else:
+            rec[name] = kind if field_kind is TokenKind else draw(field_values(field_kind))
+    return reference_decode(cls, rec)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_record_text_equals_the_encoder(data):
+    """The field-table text of a valid token's record is the log encoder's text of that record."""
+    cls = data.draw(st.sampled_from([LocalToken, RoutedToken]))
+    token = data.draw(valid_tokens(cls))
+    validate = validate_local_token if cls is LocalToken else validate_routed_token
+    assert validate(token).ok
+    rec = token.to_record()
+    assert record_text(cls, rec) == _ENCODER.encode(rec)

@@ -703,8 +703,8 @@ def test_live_goals_equal_the_fold_after_every_record(seed):
     log, append = system.log, system.log.append
     mismatches = []
 
-    def checked_append(event_kind, body, logical_time):
-        offset = append(event_kind, body, logical_time)
+    def checked_append(event_kind, body, logical_time, text=None):
+        offset = append(event_kind, body, logical_time, text)
         for policy_id in system.policies:
             live = [g.to_record() for g in system.goals.goals_for(policy_id)]
             folded = [g.to_record() for g in fold_goal_state(log, policy_id, upto=offset)]

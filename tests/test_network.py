@@ -340,6 +340,22 @@ class TestRouting:
                      if r.body["token_id"] == "t-fresh"]
         assert receive.body == fresh.to_record()
 
+    @pytest.mark.parametrize("spoil", [{"seq_num": True}, {"task_description": 5}], ids=["bool-int", "int-text"])
+    def test_connector_delivery_of_an_invalid_token_is_written_by_the_encoder(self, tmp_path, spoil):
+        """A token from outside the engine that its validator refuses is not
+        written from its field table, which would write a bool as `True` and
+        refuse an int where text belongs: each line is still its record's JSON."""
+        path = tmp_path / "events.jsonl"
+        system = make_system(log_path=path)
+        policy = open_policy(system)
+        define_default_goal(system, policy)
+        token, _ = system.send_token(SNT, policy.policy_id, destination=COMMUNITY,
+                                     previous_task="t", previous_task_output="o",
+                                     task_description="d")
+        assert system.route_external(replace(token, token_id="t-fresh", **spoil)).outcome == "delivered"
+        system.close()
+        assert path.read_bytes().splitlines() == [rec.to_json().encode() for rec in system.log]
+
     def test_duplicate_routing_is_ignored_and_state_preserved(self):
         system, policy = self.setup_run()
         token, first = system.send_token(SNT, policy.policy_id, destination=COMMUNITY,
@@ -490,8 +506,8 @@ def check_statuses_after_every_record(system) -> list:
     the list the mismatches are put in."""
     append, expected, mismatches = system.log.append, {}, []
 
-    def checked_append(event_kind, body, logical_time):
-        offset = append(event_kind, body, logical_time)
+    def checked_append(event_kind, body, logical_time, text=None):
+        offset = append(event_kind, body, logical_time, text)
         if event_kind == "decision" and body["decision"] == "policy-created":
             expected[body["policy_id"]] = "active"
         elif event_kind == "decision" and body["decision"] == "terminate":
@@ -512,8 +528,8 @@ def check_counters_after_every_record(system) -> list:
     alone. Returns the list the mismatches are put in."""
     append, expected, mismatches = system.log.append, {}, []
 
-    def checked_append(event_kind, body, logical_time):
-        offset = append(event_kind, body, logical_time)
+    def checked_append(event_kind, body, logical_time, text=None):
+        offset = append(event_kind, body, logical_time, text)
         sender = {"local-token": "who_carried_out", "routed-token-send": "source_address"}.get(event_kind)
         if sender is not None:
             key = (body[sender].split("/")[0], body["policy_id"])

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from policyprov import Address, Metric, MetricKind, TokenKind, fixture_path, load_scenario, run, trace_report
 from policyprov.cli import main
-from policyprov.errors import DuplicateGoalError, RunawayScenarioError, ScenarioError, UnknownPolicyError
+from policyprov.errors import (
+    CorruptLogError, DuplicateGoalError, RunawayScenarioError, ScenarioError, UnknownPolicyError,
+)
 from policyprov.simulation import Rule, _Runner, build_system, trace_of
 from policyprov.storage import EventLog
 
@@ -396,3 +398,18 @@ class TestTraceReport:
         receives = [rec for rec in trace.log if rec.event_kind == "routed-token-receive"]
         assert len(lines) == len(receives)
         assert lines[0].startswith("alpha → owner: notification")
+
+
+@pytest.mark.parametrize("body, shown", [
+    ({"token_id": "t", "at": 1, "policy_id": "pol-1"}, "None"),
+    ({"token_id": "t", "outcome": ["x"], "at": 1, "policy_id": "pol-1"}, r"\['x'\]"),
+], ids=["no-outcome", "list-outcome"])
+def test_malformed_receipt_in_a_loaded_log_is_corrupt(tmp_path, body, shown):
+    """A receipt whose outcome is missing or not text raises `CorruptLogError`
+    naming its offset, where it ended in a bare KeyError or TypeError."""
+    path = tmp_path / "events.jsonl"
+    log = EventLog(path)
+    log.append("receipt", body, 1)
+    log.close()
+    with pytest.raises(CorruptLogError, match=f"^offset 0: receipt body has no text outcome: {shown}$"):
+        trace_of(EventLog.load(path))

@@ -200,11 +200,47 @@ class TestEventLog:
         assert hashlib.sha256(data).hexdigest() == log.content_hash()
         log.close()
 
+    @pytest.mark.parametrize("time, body, message", [
+        (1.5, {"policy_id": "pol-1"}, "logical_time 1.5 is not an integer"),
+        (True, {"policy_id": "pol-1"}, "logical_time True is not an integer"),
+        (2, [1], r"body \[1\] is not a dict"),
+        (2, {"policy_id": 7}, "policy_id 7 is not text"),
+    ], ids=["float-time", "bool-time", "list-body", "int-policy-id"])
+    def test_record_load_would_refuse_is_not_appended(self, tmp_path, time, body, message):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
+        log.append("decision", {"policy_id": "pol-1"}, 1)
+        data, digest = path.read_bytes(), log.content_hash()
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            log.append("decision", body, time)
+        assert (path.read_bytes(), log.content_hash(), len(log)) == (data, digest, 1)
+        log.append("decision", {"policy_id": "pol-1"}, 2)
+        log.close()
+        assert [rec.to_json() for rec in EventLog.load(path)] == [rec.to_json() for rec in log]
+
     def test_to_json_is_canonical(self):
         log = EventLog()
         log.append("decision", {"b": 1, "a": 2}, 1)
         parsed = json.loads(log[0].to_json())
         assert list(parsed) == sorted(parsed)
+
+
+@pytest.mark.parametrize("fixture", ["neighbourhood_safety", "change_control_board", "loop_phases",
+                                     "pattern_async_parallel"])
+def test_fixture_run_writes_each_records_json_and_a_delivery_its_sends_body(tmp_path, fixture):
+    """Token lines are written from their field tables and a receive line
+    reuses its send's body text: every line is still its record's `to_json`,
+    and a receive line's body bytes are its send's."""
+    path = tmp_path / "events.jsonl"
+    log = run(load_scenario(fixture_path(fixture)), log_path=path).log
+    lines = path.read_bytes().splitlines()
+    assert lines == [rec.to_json().encode("utf-8") for rec in log]
+    body = {rec.offset: line[len(b'{"body":'): line.rindex(b',"event_kind":')] for rec, line in zip(log, lines)}
+    sends = {rec.body["token_id"]: rec.offset for rec in log if rec.event_kind == "routed-token-send"}
+    receives = [rec for rec in log if rec.event_kind == "routed-token-receive"]
+    assert receives
+    for rec in receives:
+        assert body[rec.offset] == body[sends[rec.body["token_id"]]]
 
 
 # The lines of the `pattern_sequential` run's events.jsonl.
@@ -331,11 +367,14 @@ _BODY = st.fixed_dictionaries(
 
 
 # Address texts with no, one and two "/", empty segments, and values that are
-# not text; actors with and without "/".
-_ADDRESS_VALUE = st.one_of(
+# not text; actors with and without "/". A `policy_id`, which is never an
+# address, holds such texts only: `append` refuses one that is not text.
+_ADDRESS_TEXT = st.one_of(
     st.sampled_from(["a", "n0/a", "x/y/z", "x/y/a", "", "/", "a/", "/a", "n0/ba", "n0/a/"]),
     st.text(alphabet="az/", max_size=5),
-    st.integers(), st.none(), st.booleans(), st.lists(st.just("a"), max_size=1),
+)
+_ADDRESS_VALUE = st.one_of(
+    _ADDRESS_TEXT, st.integers(), st.none(), st.booleans(), st.lists(st.just("a"), max_size=1),
 )
 _ACTOR = st.one_of(st.sampled_from(["a", "z", "", "/", "n0/a", "x/y/z", "y/z", "/a", "a/"]),
                    st.text(alphabet="az/", max_size=4))
@@ -368,8 +407,9 @@ class TestScan:
         assert [r.offset for r in log.scan(offset_range=(2, 4))] == [2, 3, 4]
 
     @given(
-        bodies=st.lists(st.dictionaries(st.sampled_from(ADDRESS_KEYS + ("policy_id",)), _ADDRESS_VALUE, max_size=4),
-                        max_size=8),
+        bodies=st.lists(st.builds(dict.__or__,
+                                  st.dictionaries(st.sampled_from(ADDRESS_KEYS), _ADDRESS_VALUE, max_size=4),
+                                  st.dictionaries(st.just("policy_id"), _ADDRESS_TEXT)), max_size=8),
         actor=_ACTOR,
     )
     @example(bodies=[{"by": "x/y/z"}, {"by": "n0/y/z"}, {"by": "y/z"}], actor="y/z")  # an actor holding "/"

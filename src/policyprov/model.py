@@ -4,8 +4,8 @@ Every type is an immutable value and serializes to a flat JSON object with
 snake_case keys; that flat form is the event-log record format.
 
 A token class's dataclass declaration is the one statement of its fields; the
-`_FieldTable` read from it drives encoding, decoding, the record's JSON text
-and both validators.
+`_FieldTable` read from it drives encoding, decoding, both validators and
+the record keys and types the log writes a token's JSON text from.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from json.encoder import encode_basestring_ascii
 from typing import Optional, get_type_hints
 
 DEFAULT_PHASES = ("agenda-setting", "analysis")
@@ -187,15 +186,6 @@ def content_hash(payload: bytes) -> str:
 _HOLDS = {int: (int,), str: (str,), Optional[str]: (str, type(None))}
 
 
-def _optional_text(value) -> str:
-    return "null" if value is None else encode_basestring_ascii(value)
-
-
-# How a value of each declared type is written as JSON, as the standard
-# library's C encoder writes it (ASCII only); any other field is text in a record.
-_WRITES = {int: int.__repr__, Optional[str]: _optional_text}
-
-
 class _FieldTable:
     """A token class's fields, their order and types, read once from its dataclass declaration."""
 
@@ -219,12 +209,8 @@ class _FieldTable:
         covered = {*(n for n, _ in self.typed), *self.addresses, *(n for n, _, _ in self.enums)}
         if covered != set(names):
             raise TypeError(f"{cls.__name__} fields of no known type: {sorted(set(names) - covered)}")
-        # The record's keys in sorted order, each with its quoted `"key":` head
-        # (the first one opening the object) and the writer of its kind of value.
-        self.heads = tuple(
-            (n, ("," if i else "{") + encode_basestring_ascii(n) + ":", _WRITES.get(hints[n], encode_basestring_ascii))
-            for i, n in enumerate(sorted(names))
-        )
+        # The record's keys in sorted order, each with its declared type.
+        self.sorted_types = tuple((n, hints[n]) for n in sorted(names))
 
 
 def _encode(token) -> dict:
@@ -238,12 +224,9 @@ def _encode(token) -> dict:
     return rec
 
 
-def record_text(cls, rec: dict) -> str:
-    """The JSON text of a validated `cls` token's record `rec`, byte for byte
-    what `json.JSONEncoder(sort_keys=True, separators=(",", ":"))` writes: the
-    keys in sorted order, text quoted, an int as its repr, a missing optional
-    text as null. Its enums and addresses are already text in the record."""
-    return "".join([head + write(rec[name]) for name, head, write in _TABLES[cls].heads]) + "}"
+def record_fields(cls) -> tuple:
+    """A token class's record keys in sorted order, each with its declared type."""
+    return _TABLES[cls].sorted_types
 
 
 def _decode(cls, rec: dict, addresses: Optional[dict]):

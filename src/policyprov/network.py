@@ -47,11 +47,10 @@ from .model import (
     RoutedToken,
     StakeholderNature,
     TokenKind,
-    record_text,
     validate_local_token,
     validate_routed_token,
 )
-from .storage import DataStore, EventLog
+from .storage import DataStore, EventLog, record_text
 
 # The token id a token holds while it is validated, before it draws its own.
 _UNISSUED_ID = "unissued"
@@ -280,17 +279,19 @@ class NetworkEngine:
     # -- delivery -------------------------------------------------------------
 
     def route_external(self, token: RoutedToken) -> DeliveryReceipt:
-        """Connector-to-connector handoff; exactly once per token_id. The token
-        comes from outside this engine, so its record is written from its field
-        table only if it is valid, and otherwise by the log's encoder."""
+        """Connector-to-connector handoff; exactly once per token_id. A token
+        its validator refuses raises `InvalidTokenError` before it is logged,
+        marked delivered or given a logical time."""
         dst_net = token.destination_address.network_id
         if token.source_address.network_id == dst_net:
             raise IntraNetworkRouteError(dst_net)
+        result = validate_routed_token(token)
+        if not result.ok:
+            raise InvalidTokenError(result.violations)
         record = token.to_record()
-        text = record_text(RoutedToken, record) if validate_routed_token(token).ok else None
-        return self._route(token, record, text)
+        return self._route(token, record, record_text(RoutedToken, record))
 
-    def _route(self, token: RoutedToken, record: dict, text: Optional[str]) -> DeliveryReceipt:
+    def _route(self, token: RoutedToken, record: dict, text: str) -> DeliveryReceipt:
         """The one delivery decision: each token_id is delivered at most once,
         and only to a registered actor of the sender's network or of a network
         linked to it. `record` is the token's flat record and `text` its JSON

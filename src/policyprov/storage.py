@@ -12,11 +12,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Optional
 
 from .errors import CorruptLogError, TornLogError, UnknownDataIdError
-from .model import Address, DataRecord, content_hash
+from .model import Address, DataRecord, LocalToken, RoutedToken, content_hash, record_fields
 
 EVENT_KINDS = (
     "local-token",
@@ -32,7 +33,29 @@ EVENT_KINDS = (
 )
 
 # One canonical encoder for every record: sorted keys, no spaces, ASCII only.
+# The token writers below take its quoting and separators from it.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_QUOTE = encode_basestring_ascii if _ENCODER.ensure_ascii else encode_basestring
+
+
+def _optional_text(value) -> str:
+    return "null" if value is None else _QUOTE(value)
+
+
+# How `_ENCODER` writes a token field of each declared type; any other field
+# (text, an enum's value, an address) is text in a record.
+_WRITES = {int: int.__repr__, Optional[str]: _optional_text}
+# Each token class's record keys in sorted order, as `_ENCODER` sorts them,
+# each with its `"key":` head (the first one opening the object) and the
+# writer of its declared type.
+_TOKEN_HEADS = {
+    cls: tuple(
+        (name, (_ENCODER.item_separator if i else "{") + _QUOTE(name) + _ENCODER.key_separator,
+         _WRITES.get(kind, _QUOTE))
+        for i, (name, kind) in enumerate(record_fields(cls))
+    )
+    for cls in (LocalToken, RoutedToken)
+}
 # Each kind's part of a line between the body and the logical time. A line is
 # `{"body":…,"event_kind":"…","logical_time":N,"offset":N}`, its keys in sorted
 # order, as `EventRecord.to_json` writes it.
@@ -65,6 +88,14 @@ class EventRecord:
                 "body": self.body,
             }
         )
+
+
+def record_text(cls, rec: dict) -> str:
+    """The JSON text of a validated `cls` token's record `rec`, byte for byte
+    what `_ENCODER` writes: the keys in sorted order, text quoted, an int as
+    its repr, a missing optional text as null. Its enums and addresses are
+    already text in the record."""
+    return "".join([head + write(rec[name]) for name, head, write in _TOKEN_HEADS[cls]]) + "}"
 
 
 def policy_ids(records) -> list[str]:

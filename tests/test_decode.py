@@ -20,11 +20,10 @@ from policyprov.model import (
     RoutedToken,
     StakeholderNature,
     TokenKind,
-    record_text,
     validate_local_token,
     validate_routed_token,
 )
-from policyprov.storage import _ENCODER, EventLog
+from policyprov.storage import _ENCODER, EventLog, record_text
 from policyprov.view import views_of
 
 from test_model import make_local, make_routed

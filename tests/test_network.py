@@ -340,11 +340,13 @@ class TestRouting:
                      if r.body["token_id"] == "t-fresh"]
         assert receive.body == fresh.to_record()
 
-    @pytest.mark.parametrize("spoil", [{"seq_num": True}, {"task_description": 5}], ids=["bool-int", "int-text"])
-    def test_connector_delivery_of_an_invalid_token_is_written_by_the_encoder(self, tmp_path, spoil):
-        """A token from outside the engine that its validator refuses is not
-        written from its field table, which would write a bool as `True` and
-        refuse an int where text belongs: each line is still its record's JSON."""
+    @pytest.mark.parametrize("spoil", [{"seq_num": True}, {"task_description": 5}, {"policy_id": 5}],
+                             ids=["bool-int", "int-text", "int-policy-id"])
+    def test_connector_refuses_an_invalid_token_before_any_state_changes(self, tmp_path, spoil):
+        """A token from outside the engine that its validator refuses raises
+        InvalidTokenError and leaves no trace: it is not marked delivered, no
+        record is kept or written and no logical time is taken, so the valid
+        token with the same id is then delivered."""
         path = tmp_path / "events.jsonl"
         system = make_system(log_path=path)
         policy = open_policy(system)
@@ -352,7 +354,13 @@ class TestRouting:
         token, _ = system.send_token(SNT, policy.policy_id, destination=COMMUNITY,
                                      previous_task="t", previous_task_output="o",
                                      task_description="d")
-        assert system.route_external(replace(token, token_id="t-fresh", **spoil)).outcome == "delivered"
+        fresh = replace(token, token_id="t-fresh")
+        logged, written, now = len(system.log), path.read_bytes(), system.log.tick()
+        with pytest.raises(InvalidTokenError):
+            system.route_external(replace(fresh, **spoil))
+        assert (len(system.log), path.read_bytes(), system.log.tick()) == (logged, written, now + 1)
+        assert "t-fresh" not in system._delivered
+        assert system.route_external(fresh).outcome == "delivered"
         system.close()
         assert path.read_bytes().splitlines() == [rec.to_json().encode() for rec in system.log]
 

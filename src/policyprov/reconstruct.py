@@ -211,15 +211,22 @@ def query(
     return QueryResult(events, ProcessGraph(policy_id or ",".join(policies), nodes, edges))
 
 
+def _dot_text(text: str) -> str:
+    """`text` as the inside of a DOT quoted string: a quote or a backslash is escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(graph: ProcessGraph) -> str:
-    """DOT export: nodes labeled `actor\\ntask`, edges labeled with pattern."""
+    """DOT export: nodes labeled `actor\\ntask`, edges labeled with pattern.
+    Every quoted string escapes its quotes and backslashes; the `\\n` in a
+    label is DOT's line break."""
     lines = ["digraph process {"]
     for node in sorted(graph.nodes, key=lambda n: n.time):
         actor = node.actor.rpartition("/")[2]
-        lines.append(f'  "{node.node_id}" [label="{actor}\\n{node.task}"];')
+        lines.append(f'  "{_dot_text(node.node_id)}" [label="{_dot_text(actor)}\\n{_dot_text(node.task)}"];')
     for edge in sorted(graph.edges, key=lambda e: e.time):
-        src = f'"{edge.src_node or edge.src_actor}"'
-        dst = f'"{edge.dst_node or edge.dst_actor}"'
+        src = f'"{_dot_text(edge.src_node or edge.src_actor)}"'
+        dst = f'"{_dot_text(edge.dst_node or edge.dst_actor)}"'
         lines.append(f"  {src} -> {dst} [label=\"{edge.pattern.value}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
@@ -60,8 +61,20 @@ _TOKEN_HEADS = {
 # `{"body":…,"event_kind":"…","logical_time":N,"offset":N}`, its keys in sorted
 # order, as `EventRecord.to_json` writes it.
 _KIND_TEXT = {kind: f',"event_kind":"{kind}","logical_time":' for kind in EVENT_KINDS}
+# Each kind, mapped to itself: one lookup both checks a kind and interns it.
+_KINDS = {kind: kind for kind in EVENT_KINDS}
 # One decoder for every line `load` reads.
 _DECODE = json.JSONDecoder().raw_decode
+# A send line's envelope tail starts with this; see `EventLog.load`.
+_SEND_TEXT = _KIND_TEXT["routed-token-send"].encode("ascii")
+# What a delivery's line holds after its send's head: the receive envelope,
+# with a logical time and an offset each a plain JSON int of at most 18 digits.
+_INT = rb"(-?(?:0|[1-9][0-9]{0,17}))"
+_RECEIVE_TAIL = re.compile(
+    re.escape(_KIND_TEXT["routed-token-receive"].encode("ascii")) + _INT + rb',"offset":' + _INT + rb"\}"
+)
+# The types of a flat body's values: a copy of such a body shares no mutable object.
+_FLAT = frozenset((type(None), bool, int, float, str))
 
 _ADDRESS_FIELDS = (
     "who_carried_out",
@@ -88,6 +101,22 @@ class EventRecord:
                 "body": self.body,
             }
         )
+
+
+_SET_OFFSET, _SET_KIND, _SET_TIME, _SET_BODY = (
+    EventRecord.__dict__[name].__set__ for name in ("offset", "event_kind", "logical_time", "body")
+)
+
+
+def _event_record(offset: int, event_kind: str, logical_time: int, body: dict) -> EventRecord:
+    """An `EventRecord` of checked values, its four slots set directly: the
+    frozen `__init__` would set each through `object.__setattr__`."""
+    record = object.__new__(EventRecord)
+    _SET_OFFSET(record, offset)
+    _SET_KIND(record, event_kind)
+    _SET_TIME(record, logical_time)
+    _SET_BODY(record, body)
+    return record
 
 
 def record_text(cls, rec: dict) -> str:
@@ -154,7 +183,7 @@ class EventLog:
         if self._fh is not None and text is None:
             text = _ENCODER.encode(body)  # first, so that a body it refuses is not kept
         offset = len(self._records)
-        self._records.append(EventRecord(offset, event_kind, logical_time, body))
+        self._records.append(_event_record(offset, event_kind, logical_time, body))
         if self._fh is not None:
             # The file is only ever opened in __init__, so every earlier
             # record was hashed here too. The flush makes each record durable
@@ -223,35 +252,55 @@ class EventLog:
         its index, whose logical time is not an int or is before the previous
         record's, or whose `policy_id` is there and not text. A last line with
         no newline that is not JSON raises `TornLogError`: the writer stopped
-        mid-append. The next `tick` is the last record's logical time + 1."""
+        mid-append. The next `tick` is the last record's logical time + 1.
+
+        A delivery's line is decoded once, at its send. A send line ends in
+        the envelope tail the writer writes from its kind, logical time and
+        offset; the text before that tail is its head. A later line that is
+        the last send line's head followed by a receive tail
+        (`,"event_kind":"routed-token-receive","logical_time":N,"offset":M}`,
+        N and M plain JSON ints of at most 18 digits) gets a fresh copy of
+        that send's body, when every value of that body is None, a bool, an
+        int, a float or text. This is exact: the send line was one JSON
+        object, and the receive tail has the same token shapes as the send's,
+        so that line is one JSON object too, whose body comes from the shared
+        head alone. Every other line is decoded alone, and every record passes
+        the same checks."""
         log = cls()
         records = log._records
         last_time = -math.inf
+        head = send_body = None  # the last send line's head, while its body is flat
         with Path(path).open("rb") as fh:
             for number, line in enumerate(fh, 1):
                 text = line.strip()
                 if not text:
                     continue
-                try:
-                    text = text.decode("utf-8")
-                    raw, end = _DECODE(text)
-                    if end != len(text):
-                        raise ValueError("data after the JSON value")
-                except (ValueError, RecursionError):  # not UTF-8, not one JSON value, or nested too deep to parse
-                    if not line.endswith(b"\n"):
-                        raise TornLogError(f"line {number}: torn last line, cut off before its newline") from None
-                    raise CorruptLogError(f"line {number}: not UTF-8 JSON") from None
-                try:
+                if head is not None and text.startswith(head) and (match := _RECEIVE_TAIL.fullmatch(text, len(head))):
                     offset, event_kind, logical_time, body = (
-                        raw["offset"], raw["event_kind"], raw["logical_time"], raw["body"]
+                        int(match[2]), "routed-token-receive", int(match[1]), dict(send_body)
                     )
-                except (KeyError, TypeError):  # a key missing, not an object
-                    raise CorruptLogError(
-                        f"line {number}: not a JSON object with offset, event_kind, logical_time and body"
-                    ) from None
+                else:
+                    try:
+                        decoded = text.decode("utf-8")
+                        raw, end = _DECODE(decoded)
+                        if end != len(decoded):
+                            raise ValueError("data after the JSON value")
+                    except (ValueError, RecursionError):  # not UTF-8, not one JSON value, or nested too deep to parse
+                        if not line.endswith(b"\n"):
+                            raise TornLogError(f"line {number}: torn last line, cut off before its newline") from None
+                        raise CorruptLogError(f"line {number}: not UTF-8 JSON") from None
+                    try:
+                        offset, event_kind, logical_time, body = (
+                            raw["offset"], raw["event_kind"], raw["logical_time"], raw["body"]
+                        )
+                    except (KeyError, TypeError):  # a key missing, not an object
+                        raise CorruptLogError(
+                            f"line {number}: not a JSON object with offset, event_kind, logical_time and body"
+                        ) from None
                 if not isinstance(body, dict):
                     raise CorruptLogError(f"line {number}: body is not a JSON object")
-                if event_kind not in EVENT_KINDS:
+                kind = _KINDS.get(event_kind) if type(event_kind) is str else None
+                if kind is None:
                     raise CorruptLogError(f"line {number}: unknown event kind {event_kind!r}")
                 if offset != len(records) or type(offset) is not int:
                     raise CorruptLogError(f"line {number}: offset {offset!r} is not {len(records)}")
@@ -263,7 +312,11 @@ class EventLog:
                 if type(body.get("policy_id", "")) is not str:
                     raise CorruptLogError(f"line {number}: policy_id {body['policy_id']!r} is not text")
                 last_time = logical_time
-                records.append(EventRecord(offset, event_kind, logical_time, body))
+                records.append(_event_record(offset, kind, logical_time, body))
+                if kind == "routed-token-send":
+                    tail = b'%s%d,"offset":%d}' % (_SEND_TEXT, logical_time, offset)
+                    flat = text.endswith(tail) and _FLAT.issuperset(map(type, body.values()))
+                    head, send_body = (text[: -len(tail)], body) if flat else (None, None)
         if records:
             log._now = last_time
         return log

@@ -1,5 +1,7 @@
 """Process reconstruction: graphs, pattern classification, loops, querying."""
 
+import re
+
 import pytest
 
 from policyprov import (
@@ -243,6 +245,94 @@ class TestDot:
         a = to_dot(reconstruct_process(*_fresh()))
         b = to_dot(reconstruct_process(*_fresh()))
         assert a == b
+
+    def test_names_with_quotes_backslashes_and_newlines_are_quoted_strings(self):
+        system = make_system()
+        network = 'Zoë "crew" \\ east'
+        system.register_network(network)
+        system.link_networks(network, "local-council")
+        first = system.register_actor(network, 'say "hi" \\ end')
+        second = system.register_actor(network, "line\nbreak 東京\\")
+        policy = open_policy(system)
+        define_default_goal(system, policy)
+        # `second` sends before any activity of its own, so that edge starts at its actor.
+        handoff(system, second, policy.policy_id, first)
+        local(system, first, policy.policy_id, 'draft "v2" \\ final\nnow')
+        handoff(system, first, policy.policy_id, second)
+        local(system, second, policy.policy_id, 'Zoë\\"')
+        graph = reconstruct_process(system.log, policy.policy_id)
+        assert graph.edges[0].src_node is None and len(graph.nodes) == 2
+
+        nodes, edges = parse_dot(to_dot(graph))
+        assert nodes == [
+            ([node.node_id], [node.actor.rpartition("/")[2], node.task])
+            for node in sorted(graph.nodes, key=lambda n: n.time)
+        ]
+        assert edges == [
+            ([edge.src_node or edge.src_actor], [edge.dst_node or edge.dst_actor], [edge.pattern.value])
+            for edge in sorted(graph.edges, key=lambda e: e.time)
+        ]
+
+
+# A small DOT tokenizer, as an oracle apart from `to_dot`: a quoted string
+# runs to the first quote that no backslash escapes, and may hold a raw newline.
+_DOT_TOKEN = re.compile(r'\s*(?:("(?:[^"\\]|\\.)*")|([A-Za-z_][A-Za-z_0-9]*)|(->|[{}\[\];=]))', re.DOTALL)
+_LINE_BREAK = object()
+
+
+def _dot_tokens(dot: str) -> list:
+    tokens, at = [], 0
+    while dot[at:].strip():
+        match = _DOT_TOKEN.match(dot, at)
+        assert match, f"not DOT at {dot[at:at + 40]!r}"
+        quoted, word, punct = match.groups()
+        tokens.append(("string", _unquote(quoted)) if quoted else ("word", word) if word else punct)
+        at = match.end()
+    return tokens
+
+
+def _unquote(quoted: str) -> list:
+    """A quoted string's characters: `\\"` is a quote, `\\\\` a backslash and
+    `\\n` a line break; `to_dot` writes no other escape."""
+    out, body, i = [], quoted[1:-1], 0
+    while i < len(body):
+        if body[i] == "\\":
+            out.append({'"': '"', "\\": "\\", "n": _LINE_BREAK}[body[i + 1]])
+            i += 2
+        else:
+            out.append(body[i])
+            i += 1
+    return out
+
+
+def _lines(chars: list) -> list:
+    lines = [[]]
+    for char in chars:
+        if char is _LINE_BREAK:
+            lines.append([])
+        else:
+            lines[-1].append(char)
+    return ["".join(line) for line in lines]
+
+
+def parse_dot(dot: str):
+    """The (id, label) of each node statement and the (source, target, label)
+    of each edge statement of a `to_dot` graph, each string as its lines."""
+    tokens = _dot_tokens(dot)
+    assert tokens[:3] == [("word", "digraph"), ("word", "process"), "{"] and tokens[-1] == "}"
+    nodes, edges, rest = [], [], tokens[3:-1]
+    while rest:
+        end = rest.index(";")
+        statement, rest = rest[:end], rest[end + 1:]
+        *ends, bracket, key, equals, label, close = statement
+        assert (bracket, key, equals, close) == ("[", ("word", "label"), "=", "]") and label[0] == "string"
+        assert all(end[0] == "string" for end in ends[::2])
+        if len(ends) == 1:
+            nodes.append((_lines(ends[0][1]), _lines(label[1])))
+        else:
+            assert len(ends) == 3 and ends[1] == "->"
+            edges.append((_lines(ends[0][1]), _lines(ends[2][1]), _lines(label[1])))
+    return nodes, edges
 
 
 def _fresh():

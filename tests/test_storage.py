@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import policyprov
-from policyprov import Address, DataStore, EventLog, fixture_path, load_scenario, run
+from policyprov import Address, DataStore, EventLog, fixture_path, load_scenario, run, storage
 from policyprov.errors import CorruptLogError, TornLogError, UnknownDataIdError
 from policyprov.model import content_hash
 from policyprov.prov import build_prov
@@ -103,6 +103,7 @@ class TestEventLog:
         b'{"offset":0}', b'{"offset":1,"event_kind":"decision","logical_time":2}',
         b"[1,2]", b'{"offset":', b"\xff\xfe", b'{"offset":0,"event_kind":"decision","logical_time":1,"body":[]}',
         b'{"offset":0,"event_kind":"bogus","logical_time":1,"body":{}}',
+        pytest.param(b'{"offset":1,"event_kind":["decision"],"logical_time":2,"body":{}}', id="kind-not-hashable"),
         pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-too-deep"),
         pytest.param(SECOND_RECORD + b"{}", id="record-then-object"),
         pytest.param(SECOND_RECORD + b" 1", id="record-then-number"),
@@ -283,6 +284,154 @@ def test_load_of_a_log_with_one_spoiled_line_returns_or_raises_corrupt_log_error
         EventLog.load(path)
     except CorruptLogError:
         pass
+
+
+def oracle_load(data: bytes) -> list:
+    """The (offset, event_kind, logical_time, body) of each record of a log's
+    bytes, by `json.loads` of each line and the checks `EventLog.load`
+    documents. A line it refuses raises `CorruptLogError` naming the line, or
+    `TornLogError` when it is the last line, has no newline and is not JSON."""
+    records, last_time = [], None
+    pieces = data.split(b"\n")
+    for number, piece in enumerate(pieces, 1):
+        text = piece.strip()
+        if not text:
+            continue
+        try:
+            raw = json.loads(text.decode("utf-8"))
+        except (ValueError, RecursionError):
+            raise (TornLogError if number == len(pieces) else CorruptLogError)(f"line {number}: ") from None
+        if not (isinstance(raw, dict) and {"offset", "event_kind", "logical_time", "body"} <= raw.keys()
+                and isinstance(raw["body"], dict) and raw["event_kind"] in EVENT_KINDS
+                and type(raw["offset"]) is int and raw["offset"] == len(records)
+                and type(raw["logical_time"]) is int and (last_time is None or raw["logical_time"] >= last_time)
+                and type(raw["body"].get("policy_id", "")) is str):
+            raise CorruptLogError(f"line {number}: ")
+        last_time = raw["logical_time"]
+        records.append((raw["offset"], raw["event_kind"], raw["logical_time"], raw["body"]))
+    return records
+
+
+def loaded(path) -> list:
+    """What `EventLog.load` gives, in the form of `oracle_load`; no two records share a body."""
+    records = [(rec.offset, rec.event_kind, rec.logical_time, rec.body) for rec in EventLog.load(path)]
+    assert len({id(body) for *_, body in records}) == len(records)
+    return records
+
+
+def long_policy_scenario(work: Path) -> Path:
+    """The benchmark's seed-1 `long-policy` scenario, written into `work`."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.build("long-policy", 1, work)[0].path
+
+
+@pytest.mark.parametrize("scenario", [
+    "change_control_board", "loop_phases", "neighbourhood_safety", "pattern_async_parallel",
+    "pattern_asynchronous", "pattern_parallel", "pattern_sequential", "pattern_synchronous", "long-policy",
+])
+def test_load_gives_the_records_of_json_loads_per_line(tmp_path, scenario):
+    path = tmp_path / "events.jsonl"
+    source = long_policy_scenario(tmp_path) if scenario == "long-policy" else fixture_path(scenario)
+    log = run(load_scenario(source), log_path=path).log
+    assert any(rec.event_kind == "routed-token-receive" for rec in log)
+    assert loaded(path) == oracle_load(path.read_bytes())
+
+
+def test_a_delivery_line_is_decoded_at_its_send(tmp_path, monkeypatch):
+    path = tmp_path / "events.jsonl"
+    log = run(load_scenario(fixture_path("neighbourhood_safety")), log_path=path).log
+    decoded = []
+    monkeypatch.setattr(storage, "_DECODE", lambda text: decoded.append(text) or json.JSONDecoder().raw_decode(text))
+    assert [rec.to_json() for rec in EventLog.load(path)] == [rec.to_json() for rec in log]
+    assert len(decoded) == sum(rec.event_kind != "routed-token-receive" for rec in log)
+
+
+# A send line of the `pattern_sequential` run and the receive line after it.
+SEND_AT = next(i for i, line in enumerate(FUZZ_LINES) if b'"event_kind":"routed-token-send"' in line)
+assert b'"event_kind":"routed-token-receive"' in FUZZ_LINES[SEND_AT + 1]
+_TAIL_INT = {"logical_time": re.compile(rb'(?<="logical_time":)[0-9]+'), "offset": re.compile(rb'(?<="offset":)[0-9]+')}
+
+
+def _canonical(raw: dict) -> bytes:
+    return json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+@st.composite
+def spoiled_delivery(draw) -> list:
+    """The `pattern_sequential` log with its first delivery's receive line, or
+    the send line before it, changed in one of the ways below; the receive
+    line is last when `last` is drawn."""
+    lines = list(FUZZ_LINES)
+    send, receive = lines[SEND_AT], lines[SEND_AT + 1]
+    head = receive[: receive.rindex(b',"event_kind":')]
+    how = draw(st.sampled_from(["none", "number", "kind", "space", "duplicate", "after", "flip", "cut",
+                                "reencoded-send", "send-tail", "blank", "list"]))
+    if how == "number":
+        key = draw(st.sampled_from(sorted(_TAIL_INT)))
+        number = _TAIL_INT[key].search(receive, len(head))[0]
+        new = draw(st.sampled_from([b"0" + number, b"-0", number + b".0", number + b"e0", number + b"E+00",
+                                    b"1" + b"0" * 18, b"9" * 18, b"1" * 5000, b"-" + number]))
+        receive = head + _TAIL_INT[key].sub(new, receive[len(head):], count=1)
+    elif how == "kind":
+        kind = draw(st.sampled_from([*EVENT_KINDS, "bogus"])).encode("ascii")
+        receive = receive.replace(b'"routed-token-receive"', b'"' + kind + b'"')
+    elif how == "space":
+        at = draw(st.integers(1, len(receive) - 2))
+        receive = receive[:at] + draw(st.sampled_from([b" ", b"\t", b"\r"])) + receive[at:]
+    elif how == "duplicate":
+        key = draw(st.sampled_from(["offset", "logical_time", "event_kind"]))
+        member = json.dumps({key: json.loads(receive)[key]}, separators=(",", ":")).encode("utf-8")[1:-1]
+        receive = receive.rstrip(b"}\n") + b"," + member + b"}\n"
+    elif how == "after":
+        receive = receive.rstrip(b"\n") + draw(st.sampled_from([b"{}", b" 1", b"]", b"x", b"}"])) + b"\n"
+    elif how == "flip":
+        at = draw(st.integers(0, len(head) - 1))
+        receive = receive[:at] + bytes([receive[at] ^ draw(st.integers(1, 255))]) + receive[at + 1:]
+    elif how == "cut":
+        receive = receive[: draw(st.integers(1, len(receive) - 1))]
+    elif how == "reencoded-send":
+        send = json.dumps(json.loads(send)).encode("utf-8") + b"\n"
+    elif how == "send-tail":
+        # A space in the send's envelope tail, and a receive line whose head
+        # runs that far into the send line: its text before the writer's tail
+        # is no longer the body's.
+        at = draw(st.integers(len(head), len(send) - 2))
+        send = send[:at] + b" " + send[at:]
+        receive = send[: len(head) + draw(st.integers(0, 2))] + receive[len(head):]
+    elif how == "blank":
+        send += draw(st.sampled_from([b"\n", b"  \n"]))
+    elif how == "list":
+        key = draw(st.sampled_from(sorted(json.loads(send)["body"])))
+        raws = [json.loads(send), json.loads(receive)]
+        for raw in raws:
+            raw["body"][key] = [raw["body"][key], 1]
+        send, receive = map(_canonical, raws)
+    lines[SEND_AT : SEND_AT + 2] = [send, receive]
+    return lines[: SEND_AT + 2] if draw(st.booleans()) else lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=spoiled_delivery())
+def test_load_of_a_spoiled_delivery_line_equals_json_loads_per_line(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "delivery.jsonl"
+    data = b"".join(lines)
+    path.write_bytes(data)
+    try:
+        expected = oracle_load(data)
+    except CorruptLogError as refused:
+        with pytest.raises(type(refused), match=f"^{refused}") as caught:
+            EventLog.load(path)
+        assert type(caught.value) is type(refused)
+        return
+    records = loaded(path)
+    assert records == expected
+    # A body holding a list is decoded again for each line, so no record shares the list.
+    lists = [id(value) for *_, body in records for value in body.values() if isinstance(value, list)]
+    assert len(set(lists)) == len(lists)
 
 
 def full_hash(log) -> str:

@@ -38,6 +38,12 @@ class DuplicateMetricError(PolicyProvError):
     code = "duplicate-metric"
 
 
+class UnknownMetricError(PolicyProvError):
+    """A goal change names a metric the goal does not have."""
+
+    code = "unknown-metric"
+
+
 class LastMetricError(PolicyProvError):
     code = "removing-last-metric"
 

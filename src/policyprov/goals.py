@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import Callable, Optional
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
     EmptyMetricsError,
     LastMetricError,
     UnknownGoalError,
+    UnknownMetricError,
     UnknownPhaseError,
 )
 from .model import Address, DataRecord, LocalToken, TokenKind
@@ -125,31 +127,6 @@ class Goal:
         )
 
 
-@dataclass
-class GoalDisplaySnapshot:
-    policy_id: str
-    goals: list[dict]
-    snapshot_time: int
-
-    @classmethod
-    def of(cls, policy_id: str, goals: list[Goal], snapshot_time: int) -> "GoalDisplaySnapshot":
-        """Each goal's id, name, phase, status and version, and each of its metrics' id, status and satisfier."""
-        shown = []
-        for g in goals:
-            metrics = [{"metric_id": m.metric_id, "status": m.status.value, "satisfied_by": m.satisfied_by}
-                       for m in g.metrics]
-            shown.append({"goal_id": g.goal_id, "name": g.name, "phase_id": g.phase_id, "status": g.status.value,
-                          "version": g.version, "metrics": metrics})
-        return cls(policy_id, shown, snapshot_time)
-
-    def to_record(self) -> dict:
-        return {
-            "policy_id": self.policy_id,
-            "snapshot_time": self.snapshot_time,
-            "goals": self.goals,
-        }
-
-
 GOAL_KINDS = frozenset(("goal-defined", "goal-modified", "metric-satisfied", "goal-satisfied"))
 
 
@@ -210,7 +187,6 @@ class GoalEngine:
         # Called with (goal, actor) when an event satisfies a goal's last metric.
         self._notify = notify
         self._book = GoalBook()
-        self._counter = 0
 
     def _record(self, event_kind: str, body: dict) -> None:
         """Apply a goal record, then log it: the only way goal state changes.
@@ -254,9 +230,8 @@ class GoalEngine:
             raise EmptyMetricsError(name)
         if phase not in self.phases:
             raise UnknownPhaseError(phase)
-        if goal_id is None:
-            self._counter += 1
-            goal_id = f"g-{self._counter}"
+        if goal_id is None:  # the first `g-N` the book does not hold
+            goal_id = next(f"g-{n}" for n in count(1) if f"g-{n}" not in self._book.goals)
         old = self._book.goals.get(goal_id)
         if old is not None and old.policy_id != policy_id:
             raise DuplicateGoalError(f"{goal_id} already belongs to {old.policy_id}")
@@ -270,6 +245,8 @@ class GoalEngine:
         goal = self.goal(goal_id, policy_id)
         op = change["op"]
         metrics, name = list(goal.metrics), goal.name
+        if op in ("remove-metric", "replace-metric") and change["metric_id"] not in {m.metric_id for m in metrics}:
+            raise UnknownMetricError(f"goal {goal_id} has no metric {change['metric_id']!r}")
         if op == "add-metric":
             metrics.append(change["metric"])
         elif op == "remove-metric":
@@ -357,13 +334,19 @@ def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Option
     return list(book.goals.values())
 
 
-def goal_snapshots(log: EventLog, upto: Optional[int] = None) -> dict[str, GoalDisplaySnapshot]:
-    """A snapshot of each policy the log names, in first-appearance order: its
-    goals folded from the records up to offset `upto` (all when None), stamped
-    with the last folded record's time (0 when there is none)."""
-    goals: dict[str, list[Goal]] = {policy_id: [] for policy_id in policy_ids(log)}
-    for goal in fold_goal_state(log, upto=upto):
-        goals[goal.policy_id].append(goal)
+def goal_snapshots(log: EventLog, upto: Optional[int] = None) -> dict[str, dict]:
+    """The `goals.json` record of each policy the log names, in first-appearance
+    order: its goals folded from the records up to offset `upto` (all when
+    None), each with its id, name, phase, status and version and each of its
+    metrics' id, status and satisfier, stamped with the last folded record's
+    time (0 when there is none)."""
     last = len(log) - 1 if upto is None else min(upto, len(log) - 1)
     time = log[last].logical_time if last >= 0 else 0
-    return {policy_id: GoalDisplaySnapshot.of(policy_id, found, time) for policy_id, found in goals.items()}
+    snapshots = {policy_id: {"policy_id": policy_id, "snapshot_time": time, "goals": []}
+                 for policy_id in policy_ids(log)}
+    for g in fold_goal_state(log, upto=upto):
+        metrics = [{"metric_id": m.metric_id, "status": m.status.value, "satisfied_by": m.satisfied_by}
+                   for m in g.metrics]
+        snapshots[g.policy_id]["goals"].append({"goal_id": g.goal_id, "name": g.name, "phase_id": g.phase_id,
+                                                "status": g.status.value, "version": g.version, "metrics": metrics})
+    return snapshots

@@ -34,7 +34,7 @@ from .errors import (
     UnknownNetworkError,
     UnknownPolicyError,
 )
-from .goals import GoalDisplaySnapshot, GoalEngine, goal_snapshots
+from .goals import GoalEngine, goal_snapshots
 from .model import (
     Address,
     ArtifactNature,
@@ -339,8 +339,8 @@ class NetworkEngine:
         self._owned(policy_id, by)
         return self.goals.modify_goal(policy_id, goal_id, change, by)
 
-    def goal_display_snapshot(self, policy_id, upto=None) -> GoalDisplaySnapshot:
-        """The policy's goals as folded from the log up to offset `upto`; see `goal_snapshots`."""
+    def goal_display_snapshot(self, policy_id, upto=None) -> dict:
+        """The policy's `goals.json` record, folded from the log up to offset `upto`; see `goal_snapshots`."""
         try:
             return goal_snapshots(self.log, upto)[policy_id]
         except KeyError:

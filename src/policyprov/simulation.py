@@ -12,7 +12,6 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Union, get_type_hints
 
@@ -32,7 +31,8 @@ class Rule:
     rule_id: int = 0
 
     def matches(self, token: RoutedToken) -> bool:
-        """Whether the trigger's keys hold; the runner only offers the actor's own deliveries."""
+        """Whether the trigger's keys hold; the runner only offers the actor's own
+        deliveries, and checks `task_description_contains` itself."""
         cond = self.trigger.get("on_receive")
         if cond is None:
             return False
@@ -41,10 +41,6 @@ class Rule:
         if "from" in cond and str(token.source_address) != cond["from"]:
             return False
         if "required_action" in cond and token.required_action != cond["required_action"]:
-            return False
-        if "task_description_contains" in cond and cond[
-            "task_description_contains"
-        ] not in token.task_description:
             return False
         return True
 
@@ -242,33 +238,6 @@ def _metrics_from(spec: dict) -> list[Metric]:
     return metrics
 
 
-@dataclass
-class _ReceiveIndex:
-    """One actor's receive rules, those with a needle (`task_description_contains`) by needle."""
-
-    plain: list[Rule] = field(default_factory=list)
-    by_needle: dict[str, list[Rule]] = field(default_factory=dict)
-    lengths: set[int] = field(default_factory=set)
-
-    def add(self, rule: Rule):
-        needle = rule.trigger["on_receive"].get("task_description_contains")
-        if needle is None:
-            self.plain.append(rule)
-        else:
-            self.by_needle.setdefault(needle, []).append(rule)
-            self.lengths.add(len(needle))
-
-    def candidates(self, text: str) -> list[Rule]:
-        """The rules without a needle and those whose needle occurs in `text`, in rule_id order."""
-        if not self.by_needle:
-            return self.plain
-        # range(len(text) - n + 1) holds one start for n == 0, so "" occurs in every text.
-        found = {text[i : i + n] for n in self.lengths for i in range(len(text) - n + 1)}
-        rules = self.plain + [rule for needle in found & self.by_needle.keys() for rule in self.by_needle[needle]]
-        rules.sort(key=attrgetter("rule_id"))
-        return rules
-
-
 class _Runner:
     def __init__(self, scenario: Scenario, system: NetworkEngine, step_budget: int):
         self.scenario = scenario
@@ -280,19 +249,20 @@ class _Runner:
             (r for r in scenario.rules if "at_time" in r.trigger),
             key=lambda r: (r.trigger["at_time"], r.rule_id),
         )
-        # A delivery only ever tries the rules of its destination that have no
-        # needle or whose needle occurs in its task description.
-        self.receive_rules: dict[Address, _ReceiveIndex] = {}
+        # A delivery only tries the receive rules of its destination, in rule_id
+        # order, each with its needle (`task_description_contains`, or None).
+        self.receive_rules: dict[Address, list[tuple[Optional[str], Rule]]] = {}
         for rule in scenario.rules:
             if "on_receive" in rule.trigger:
-                self.receive_rules.setdefault(rule.actor, _ReceiveIndex()).add(rule)
+                needle = rule.trigger["on_receive"].get("task_description_contains")
+                self.receive_rules.setdefault(rule.actor, []).append((needle, rule))
         system.on_delivered = self._on_delivered
 
     def _on_delivered(self, token: RoutedToken):
-        index = self.receive_rules.get(token.destination_address)
-        if index is None:
-            return
-        for rule in index.candidates(token.task_description):
+        text = token.task_description
+        for needle, rule in self.receive_rules.get(token.destination_address, ()):
+            if needle is not None and needle not in text:
+                continue
             if rule.rule_id in self.fired and rule.once:
                 continue
             if rule.matches(token):
@@ -438,7 +408,7 @@ def trace_of(log: EventLog) -> RunTrace:
     return RunTrace(
         log=log,
         offsets=range(len(log)),
-        goal_snapshots={policy_id: snapshot.to_record() for policy_id, snapshot in goal_snapshots(log).items()},
+        goal_snapshots=goal_snapshots(log),
         receipt_summary=dict(receipt_summary),
         log_hash=log.content_hash(),
     )

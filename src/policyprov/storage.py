@@ -272,7 +272,7 @@ class EventLog:
         head = send_body = None  # the last send line's head, while its body is flat
         with Path(path).open("rb") as fh:
             for number, line in enumerate(fh, 1):
-                text = line.strip()
+                text = line.strip(b" \t\r\n")  # JSON whitespace only
                 if not text:
                     continue
                 if head is not None and text.startswith(head) and (match := _RECEIVE_TAIL.fullmatch(text, len(head))):

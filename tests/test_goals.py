@@ -29,6 +29,7 @@ from policyprov.errors import (
     TerminatedPolicyError,
     UnknownDecisionError,
     UnknownGoalError,
+    UnknownMetricError,
     UnknownPhaseError,
     UnknownPolicyError,
 )
@@ -124,6 +125,26 @@ class TestDefineGoal:
         goal = system.define_goal(policy.policy_id, "analysis", "g",
                                   [Metric("m", MetricKind.APPROVAL, approver=BCU)], by=OWNER)
         assert goal.goal_id == "g-1"
+
+    def test_refused_auto_goal_takes_no_id(self):
+        system = make_system()
+        policy = open_policy(system)
+        approval = Metric("m", MetricKind.APPROVAL, approver=BCU)
+        system.define_goal(policy.policy_id, "analysis", "first", [approval], by=OWNER)
+        with pytest.raises(DuplicateMetricError):
+            system.define_goal(policy.policy_id, "analysis", "twice", [approval, approval], by=OWNER)
+        goal = system.define_goal(policy.policy_id, "analysis", "second", [approval], by=OWNER)
+        assert goal.goal_id == "g-2"
+
+    def test_auto_goal_id_skips_an_explicit_one(self):
+        system = make_system()
+        policy = open_policy(system)
+        define_report_goal(system, policy, "g-1")
+        goal = system.define_goal(policy.policy_id, "analysis", "auto",
+                                  [Metric("m", MetricKind.APPROVAL, approver=BCU)], by=OWNER)
+        assert goal.goal_id == "g-2"
+        live = [(g.goal_id, g.name) for g in system.goals.goals_for(policy.policy_id)]
+        assert live == [("g-1", "report"), ("g-2", "auto")]
 
     def test_goal_id_of_another_policy_rejected(self):
         system = make_system()
@@ -439,6 +460,19 @@ class TestModifyGoal:
         assert goal.to_record() == before
         assert len(system.log) == logged
 
+    @pytest.mark.parametrize("change", [
+        {"op": "remove-metric", "metric_id": "nope"},
+        {"op": "replace-metric", "metric_id": "nope", "metric": Metric("nope", MetricKind.APPROVAL, approver=BCU)},
+    ], ids=["remove", "replace"])
+    def test_change_to_a_metric_the_goal_does_not_have_is_refused(self, change):
+        system = make_system()
+        policy = open_policy(system)
+        goal = define_default_goal(system, policy)
+        before, logged, digest = goal.to_record(), len(system.log), system.log.content_hash()
+        with pytest.raises(UnknownMetricError):
+            system.modify_goal(policy.policy_id, goal.goal_id, change, by=OWNER)
+        assert (goal.to_record(), len(system.log), system.log.content_hash()) == (before, logged, digest)
+
     def test_goal_of_another_policy_is_unknown(self):
         system = make_system()
         first = open_policy(system)
@@ -532,8 +566,8 @@ class TestSnapshots:
                                   task_description="analysis")
         snap_a = system.goal_display_snapshot(policy.policy_id)
         snap_b = system.goal_display_snapshot(policy.policy_id)
-        assert snap_a.goals == snap_b.goals
-        goal = snap_a.goals[0]
+        assert snap_a["goals"] == snap_b["goals"]
+        goal = snap_a["goals"][0]
         assert goal["metrics"][0]["status"] == "satisfied"
         assert goal["metrics"][1]["status"] == "pending"
         assert goal["status"] == "active"
@@ -547,7 +581,7 @@ class TestSnapshots:
                                   task_output="problem analysis document",
                                   task_description="analysis")
         early = system.goal_display_snapshot(policy.policy_id, upto=defined_at)
-        assert early.goals[0]["metrics"][0]["status"] == "pending"
+        assert early["goals"][0]["metrics"][0]["status"] == "pending"
 
     def test_snapshot_is_stamped_with_its_last_folded_record_time(self):
         system = make_system()
@@ -559,7 +593,7 @@ class TestSnapshots:
         last = len(system.log) - 1
         assert (system.log[5].logical_time, system.log[last].logical_time) == (6, 8)
         for upto, time in [(5, 6), (None, 8), (last, 8), (last + 10, 8), (-1, 0)]:
-            assert system.goal_display_snapshot(policy.policy_id, upto=upto).snapshot_time == time, upto
+            assert system.goal_display_snapshot(policy.policy_id, upto=upto)["snapshot_time"] == time, upto
 
     def test_fold_matches_live_engine_state(self):
         system = make_system()

@@ -371,11 +371,11 @@ class TestRouting:
                                          task_description="d")
         assert first.outcome == "delivered"
         before_receives = len(system.log.scan(event_kind="routed-token-receive"))
-        before_snapshot = system.goal_display_snapshot(policy.policy_id).goals
+        before_snapshot = system.goal_display_snapshot(policy.policy_id)["goals"]
         second = system.route_external(token)
         assert second.outcome == "duplicate-ignored"
         assert len(system.log.scan(event_kind="routed-token-receive")) == before_receives
-        assert system.goal_display_snapshot(policy.policy_id).goals == before_snapshot
+        assert system.goal_display_snapshot(policy.policy_id)["goals"] == before_snapshot
 
     def test_every_send_has_exactly_one_receipt(self):
         system, policy = self.setup_run()

@@ -360,7 +360,7 @@ class TestTraceOf:
         scenario = load_scenario(raw)
         system = build_system(scenario)
         _Runner(scenario, system, step_budget=1000).run()
-        expected = {p: system.goal_display_snapshot(p).to_record() for p in system.policies}
+        expected = {p: system.goal_display_snapshot(p) for p in system.policies}
         assert trace_of(system.log).goal_snapshots == expected
         assert all(snapshot["goals"] for snapshot in expected.values())
 

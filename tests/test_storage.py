@@ -108,6 +108,7 @@ class TestEventLog:
         pytest.param(SECOND_RECORD + b"{}", id="record-then-object"),
         pytest.param(SECOND_RECORD + b" 1", id="record-then-number"),
         pytest.param(SECOND_RECORD + b"]", id="record-then-bracket"),
+        pytest.param(b"\x0c" + SECOND_RECORD + b"\x0b", id="padded-with-form-feed-and-vertical-tab"),
     ])
     def test_malformed_line_raises_naming_the_line(self, tmp_path, bad):
         path = tmp_path / "events.jsonl"

@@ -48,6 +48,14 @@ class LastMetricError(PolicyProvError):
     code = "removing-last-metric"
 
 
+class InvalidGoalError(PolicyProvError, ValueError):
+    """A goal definition or change of a form the goal engine cannot read: a
+    name that is not text, a metric that is not a `Metric`, or a change with
+    an unknown op or without the keys its op needs."""
+
+    code = "invalid-goal"
+
+
 class UnknownNetworkError(PolicyProvError):
     code = "unknown-network"
 

@@ -1,11 +1,12 @@
 """Goal handling: goal/metric definition, continuous evaluation, snapshots.
 
-Goal state is a fold over the event log's goal records, and `GoalBook.apply`
-is its one transition: the live engine applies each record it appends, and
-`fold_goal_state` applies the logged ones, so the two agree by construction.
-The engine checks goal content only; who may define or modify a goal is the
-network engine's one owner check. When an event satisfies a goal, the engine
-hands the goal and the event's actor to the notifier it was built with.
+Goal state is a fold over the event log's goal records. `GoalBook.apply` is
+its one transition and states every goal rule: the live engine applies each
+record before it logs it, and `fold_goal_state` applies the logged ones, so
+replay refuses what the engine refuses. The engine checks only what the log
+does not hold: the phase, the metric a change names and a change's form; the
+owner is the network engine's one check. When an event satisfies a goal, the
+engine hands the goal and the event's actor to the notifier it was built with.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .errors import (
     DuplicateGoalError,
     DuplicateMetricError,
     EmptyMetricsError,
+    InvalidGoalError,
     LastMetricError,
+    PolicyProvError,
     UnknownGoalError,
     UnknownMetricError,
     UnknownPhaseError,
@@ -40,7 +43,6 @@ class MetricStatus(str, Enum):
 
 
 class GoalStatus(str, Enum):
-    DEFINED = "defined"
     ACTIVE = "active"
     SATISFIED = "satisfied"
 
@@ -82,11 +84,11 @@ class Metric:
         return cls(
             metric_id=rec["metric_id"],
             kind=MetricKind(rec["kind"]),
-            artifact_key=rec.get("artifact_key", ""),
-            approver=Address.parse(rec["approver"]) if rec.get("approver") else None,
-            status=MetricStatus(rec.get("status", "pending")),
-            satisfied_by=rec.get("satisfied_by"),
-            version=rec.get("version", 1),
+            artifact_key=rec["artifact_key"],
+            approver=Address.parse(rec["approver"]) if rec["approver"] else None,
+            status=MetricStatus(rec["status"]),
+            satisfied_by=rec["satisfied_by"],
+            version=rec["version"],
         )
 
 
@@ -122,8 +124,8 @@ class Goal:
             phase_id=rec["phase_id"],
             name=rec["name"],
             metrics=[Metric.from_record(m) for m in rec["metrics"]],
-            status=GoalStatus(rec.get("status", "active")),
-            version=rec.get("version", 1),
+            status=GoalStatus(rec["status"]),
+            version=rec["version"],
         )
 
 
@@ -146,18 +148,24 @@ class GoalBook:
         self.position: dict[str, int] = {}
 
     def apply(self, event_kind: str, body: dict) -> None:
-        """Apply one record of a kind in `GOAL_KINDS`; goals it names but
-        the book does not hold are ignored. A definition of a goal id that
-        another policy holds raises `CorruptLogError`: a goal id belongs to
-        one policy, and the live engine refuses it before it is logged."""
+        """Apply one record of a kind in `GOAL_KINDS`, or raise before anything
+        changes. A goal id belongs to one policy (`DuplicateGoalError`), a goal
+        has a metric (`EmptyMetricsError`; `LastMetricError` for a change), and no
+        two of its metrics share an id (`DuplicateMetricError`). A satisfaction
+        record is ignored unless its goal is one of its own policy's."""
         if event_kind in ("goal-defined", "goal-modified"):
             new = Goal.from_record(body)
             goal = self.goals.get(new.goal_id)
+            if goal is not None and goal.policy_id != new.policy_id:
+                raise DuplicateGoalError(f"goal {new.goal_id} of {new.policy_id} already belongs to {goal.policy_id}")
+            if not new.metrics:
+                raise (EmptyMetricsError if event_kind == "goal-defined" else LastMetricError)(new.goal_id)
+            ids = [metric.metric_id for metric in new.metrics]
+            if len(set(ids)) != len(ids):
+                raise DuplicateMetricError(f"goal {new.goal_id} has two metrics of one id: {ids}")
             if goal is None:
                 goal = self.goals[new.goal_id] = new
                 self.position[goal.goal_id] = len(self.position)
-            elif goal.policy_id != new.policy_id:
-                raise CorruptLogError(f"goal {new.goal_id} of {new.policy_id} already belongs to {goal.policy_id}")
             else:
                 # In place, so that a goal object handed out stays live.
                 vars(goal).update(vars(new))
@@ -166,7 +174,7 @@ class GoalBook:
                 if metric.kind is MetricKind.ARTIFACT_DELIVERY:
                     self.by_artifact.setdefault(canonical_artifact(metric.artifact_key), set()).add(goal.goal_id)
             return
-        goal = self.goals.get(body["goal_id"])
+        goal = self.by_policy.get(body["policy_id"], {}).get(body["goal_id"])
         if goal is None:
             return
         if event_kind == "metric-satisfied":
@@ -226,40 +234,37 @@ class GoalEngine:
         by: Address,
         goal_id: Optional[str] = None,
     ) -> Goal:
-        if not metrics:
-            raise EmptyMetricsError(name)
         if phase not in self.phases:
             raise UnknownPhaseError(phase)
+        _check_form(name, metrics)
         if goal_id is None:  # the first `g-N` the book does not hold
             goal_id = next(f"g-{n}" for n in count(1) if f"g-{n}" not in self._book.goals)
-        old = self._book.goals.get(goal_id)
-        if old is not None and old.policy_id != policy_id:
-            raise DuplicateGoalError(f"{goal_id} already belongs to {old.policy_id}")
-        _check_metric_ids(goal_id, metrics)
         goal = Goal(goal_id, policy_id, phase, name, metrics)
         self._record("goal-defined", goal.to_record() | {"by": str(by)})
         return self._book.goals[goal_id]
 
     def modify_goal(self, policy_id: str, goal_id: str, change: dict, by: Address) -> Goal:
-        """change: {"op": add-metric|remove-metric|replace-metric|rename, ...}."""
+        """change: {"op": add-metric|remove-metric|replace-metric|rename, ...} with
+        the `metric`, `metric_id` or `name` its op needs; any other form is an `InvalidGoalError`."""
         goal = self.goal(goal_id, policy_id)
-        op = change["op"]
         metrics, name = list(goal.metrics), goal.name
-        if op in ("remove-metric", "replace-metric") and change["metric_id"] not in {m.metric_id for m in metrics}:
-            raise UnknownMetricError(f"goal {goal_id} has no metric {change['metric_id']!r}")
-        if op == "add-metric":
-            metrics.append(change["metric"])
-        elif op == "remove-metric":
-            if len(metrics) == 1:
-                raise LastMetricError(goal_id)
-            metrics = [m for m in metrics if m.metric_id != change["metric_id"]]
-        elif op == "replace-metric":
-            metrics = [change["metric"] if m.metric_id == change["metric_id"] else m for m in metrics]
-        elif op == "rename":
-            name = change["name"]
-        else:
-            raise ValueError(f"unknown goal change op: {op}")
-        _check_metric_ids(goal_id, metrics)
+        try:
+            op = change["op"]
+            if op in ("remove-metric", "replace-metric") and change["metric_id"] not in {m.metric_id for m in metrics}:
+                raise UnknownMetricError(f"goal {goal_id} has no metric {change['metric_id']!r}")
+            if op == "add-metric":
+                metrics.append(change["metric"])
+            elif op == "remove-metric":
+                metrics = [m for m in metrics if m.metric_id != change["metric_id"]]
+            elif op == "replace-metric":
+                metrics = [change["metric"] if m.metric_id == change["metric_id"] else m for m in metrics]
+            elif op == "rename":
+                name = change["name"]
+            else:
+                raise InvalidGoalError(f"unknown goal change op: {op!r}")
+        except (KeyError, TypeError) as exc:  # not a dict, or a key missing or unhashable
+            raise InvalidGoalError(f"malformed goal change {change!r}: {exc!r}") from None
+        _check_form(name, metrics)
         new = Goal(goal_id, goal.policy_id, goal.phase_id, name, metrics, version=goal.version + 1)
         # A modification may reopen a previously satisfied goal.
         new.status = GoalStatus.SATISFIED if new.all_satisfied() else GoalStatus.ACTIVE
@@ -310,15 +315,17 @@ class GoalEngine:
                     self._notify(goal, actor)
 
 
-def _check_metric_ids(goal_id: str, metrics: list[Metric]) -> None:
-    """A `metric-satisfied` record names its metric by id alone, so no two metrics of a goal may share one."""
-    ids = [metric.metric_id for metric in metrics]
-    if len(set(ids)) != len(ids):
-        raise DuplicateMetricError(f"goal {goal_id} has two metrics of one id: {ids}")
+def _check_form(name, metrics) -> None:
+    """A goal the engine logs has a text name and a list of `Metric`s; the goal rules are `GoalBook.apply`'s."""
+    if not isinstance(name, str):
+        raise InvalidGoalError(f"goal name {name!r} is not text")
+    if not isinstance(metrics, (list, tuple)) or not all(isinstance(metric, Metric) for metric in metrics):
+        raise InvalidGoalError(f"goal metrics are not a list of Metric: {metrics!r}")
 
 
 def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Optional[int] = None) -> list[Goal]:
-    """Rebuild goal state purely from recorded goal events; a body it cannot read is a `CorruptLogError`."""
+    """Rebuild goal state purely from recorded goal events; a body the book cannot
+    read, or one that breaks a goal rule, is a `CorruptLogError` naming its offset."""
     book = GoalBook()
     for rec in log:
         if upto is not None and rec.offset > upto:
@@ -326,8 +333,8 @@ def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Option
         if rec.event_kind in GOAL_KINDS and (policy_id is None or rec.body.get("policy_id") == policy_id):
             try:
                 book.apply(rec.event_kind, rec.body)
-            # A field missing, or of a bad type or value (an approver that is not text has no `partition`).
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # A field missing or bad (an approver that is not text has no `partition`), or a rule broken.
+            except (AttributeError, KeyError, TypeError, ValueError, PolicyProvError) as exc:
                 raise CorruptLogError(
                     f"offset {rec.offset}: {rec.event_kind} body is not a goal record: {exc!r}"
                 ) from None

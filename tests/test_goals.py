@@ -24,6 +24,7 @@ from policyprov.errors import (
     DuplicateGoalError,
     DuplicateMetricError,
     EmptyMetricsError,
+    InvalidGoalError,
     LastMetricError,
     NotOwnerError,
     TerminatedPolicyError,
@@ -111,6 +112,21 @@ class TestDefineGoal:
         policy = open_policy(system)
         with pytest.raises(EmptyMetricsError):
             system.define_goal(policy.policy_id, "agenda-setting", "g", [], by=OWNER)
+
+    @pytest.mark.parametrize("name, metrics", [
+        ("g", ["x"]),
+        ("g", "x"),
+        ("g", None),
+        (5, [Metric("m", MetricKind.APPROVAL, approver=BCU)]),
+    ], ids=["metric-not-a-metric", "metrics-text", "metrics-none", "name-not-text"])
+    def test_malformed_goal_rejected(self, name, metrics):
+        system = make_system()
+        policy = open_policy(system)
+        logged = len(system.log)
+        with pytest.raises(InvalidGoalError):
+            system.define_goal(policy.policy_id, "agenda-setting", name, metrics, by=OWNER)
+        assert len(system.log) == logged
+        assert system.goals.goals_for(policy.policy_id) == []
 
     def test_unknown_phase_rejected(self):
         system = make_system()
@@ -444,7 +460,17 @@ class TestModifyGoal:
         ({"op": "add-metric", "metric": Metric("m2", MetricKind.APPROVAL, approver=BCU)}, NotOwnerError),
         ({"op": "retitle", "name": "x"}, ValueError),
         ({"op": "add-metric", "metric": Metric("m1", MetricKind.APPROVAL, approver=BCU)}, DuplicateMetricError),
-    ], ids=["last-metric", "not-owner", "unknown-op", "duplicate-metric-id"])
+        ({"op": "remove-metric"}, InvalidGoalError),
+        ({}, InvalidGoalError),
+        ({"op": "rename"}, InvalidGoalError),
+        ({"op": "add-metric"}, InvalidGoalError),
+        ({"op": "add-metric", "metric": "x"}, InvalidGoalError),
+        ({"op": "rename", "name": 5}, InvalidGoalError),
+        ({"op": "remove-metric", "metric_id": ["m1"]}, InvalidGoalError),
+        (None, InvalidGoalError),
+    ], ids=["last-metric", "not-owner", "unknown-op", "duplicate-metric-id", "remove-without-metric-id", "no-op",
+            "rename-without-name", "add-without-metric", "metric-not-a-metric", "name-not-text",
+            "metric-id-unhashable", "change-not-a-dict"])
     def test_rejected_change_leaves_goal_and_log_untouched(self, change, error):
         system = make_system()
         policy = open_policy(system)
@@ -699,6 +725,26 @@ def test_goal_id_of_another_policy_in_a_loaded_log_is_corrupt(second_kind):
             fold(log)
 
 
+def test_satisfaction_record_naming_another_policys_goal_is_ignored_by_every_fold():
+    """A satisfaction record is applied to a goal of its own policy only, so the
+    fold of every policy, each policy's own fold and the `goals.json` records
+    agree on a record that names another policy's goal, where the fold of every
+    policy marked that goal satisfied."""
+    log = EventLog()
+    log.append("goal-defined", goal_record("g-1", "pol-1", "report", [metric_record("m1", artifact="report")]), 1)
+    log.append("metric-satisfied", satisfied("pol-2", "g-1", "m1", "t-1"), 2)
+    log.append("goal-satisfied", {"policy_id": "pol-2", "goal_id": "g-1", "phase_id": "agenda-setting"}, 3)
+    every, snapshots = fold_goal_state(log), trace_of(log).goal_snapshots
+    for policy_id in ("pol-1", "pol-2"):
+        own = fold_goal_state(log, policy_id)
+        assert [g.to_record() for g in every if g.policy_id == policy_id] == [g.to_record() for g in own]
+        assert [(g["goal_id"], g["status"], [(m["metric_id"], m["status"]) for m in g["metrics"]])
+                for g in snapshots[policy_id]["goals"]] == [
+            (g.goal_id, g.status.value, [(m.metric_id, m.status.value) for m in g.metrics]) for g in own]
+    [goal] = fold_goal_state(log, "pol-1")
+    assert (goal.status, goal.metrics[0].status) == (GoalStatus.ACTIVE, MetricStatus.PENDING)
+
+
 def _without(record: dict, key: str) -> dict:
     return {k: v for k, v in record.items() if k != key}
 
@@ -713,7 +759,13 @@ _REPORT = goal_record("g-1", "pol-1", "report", [metric_record("m1", artifact="r
     ("goal-defined", _REPORT | {"metrics": [5]}),
     ("goal-modified", _REPORT | {"metrics": [metric_record("m1", approver="local-council/bcu") | {"approver": 5}]}),
     ("goal-satisfied", {"policy_id": "pol-1", "phase_id": "agenda-setting"}),
-], ids=["no-phase-id", "bogus-metric-kind", "metrics-text", "metric-int", "approver-int", "satisfied-no-goal-id"])
+    ("goal-defined", _REPORT | {"metrics": []}),
+    ("goal-modified", _REPORT | {"metrics": []}),
+    ("goal-defined", _REPORT | {"metrics": [
+        metric_record("m1", artifact="report"), metric_record("m1", artifact="annex")]}),
+    ("goal-defined", _REPORT | {"status": "defined"}),
+], ids=["no-phase-id", "bogus-metric-kind", "metrics-text", "metric-int", "approver-int", "satisfied-no-goal-id",
+        "empty-metrics", "modified-to-no-metrics", "duplicate-metric-ids", "status-defined"])
 def test_malformed_goal_record_in_a_loaded_log_is_corrupt(tmp_path, kind, body):
     """A goal record the fold cannot read raises `CorruptLogError` naming its
     offset, where it ended in a bare KeyError, ValueError, TypeError or AttributeError."""

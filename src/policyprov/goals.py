@@ -239,6 +239,8 @@ class GoalEngine:
         _check_form(name, metrics)
         if goal_id is None:  # the first `g-N` the book does not hold
             goal_id = next(f"g-{n}" for n in count(1) if f"g-{n}" not in self._book.goals)
+        elif not isinstance(goal_id, str):
+            raise InvalidGoalError(f"goal id {goal_id!r} is not text")
         goal = Goal(goal_id, policy_id, phase, name, metrics)
         self._record("goal-defined", goal.to_record() | {"by": str(by)})
         return self._book.goals[goal_id]
@@ -316,21 +318,27 @@ class GoalEngine:
 
 
 def _check_form(name, metrics) -> None:
-    """A goal the engine logs has a text name and a list of `Metric`s; the goal rules are `GoalBook.apply`'s."""
+    """A goal the engine logs has a text name and a list of `Metric`s, each of
+    a `MetricKind`; the goal rules are `GoalBook.apply`'s."""
     if not isinstance(name, str):
         raise InvalidGoalError(f"goal name {name!r} is not text")
-    if not isinstance(metrics, (list, tuple)) or not all(isinstance(metric, Metric) for metric in metrics):
-        raise InvalidGoalError(f"goal metrics are not a list of Metric: {metrics!r}")
+    if not isinstance(metrics, (list, tuple)) or not all(
+        isinstance(metric, Metric) and isinstance(metric.kind, MetricKind) for metric in metrics
+    ):
+        raise InvalidGoalError(f"goal metrics are not a list of Metric of a MetricKind: {metrics!r}")
 
 
 def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Optional[int] = None) -> list[Goal]:
-    """Rebuild goal state purely from recorded goal events; a body the book cannot
-    read, or one that breaks a goal rule, is a `CorruptLogError` naming its offset."""
+    """Rebuild goal state purely from recorded goal events, and return every
+    goal, or `policy_id`'s alone; a body the book cannot read, or one that
+    breaks a goal rule, is a `CorruptLogError` naming its offset. Every goal
+    record is folded either way, as a goal rule may span policies, so the
+    folds of one log raise alike."""
     book = GoalBook()
     for rec in log:
         if upto is not None and rec.offset > upto:
             break
-        if rec.event_kind in GOAL_KINDS and (policy_id is None or rec.body.get("policy_id") == policy_id):
+        if rec.event_kind in GOAL_KINDS:
             try:
                 book.apply(rec.event_kind, rec.body)
             # A field missing or bad (an approver that is not text has no `partition`), or a rule broken.
@@ -338,7 +346,7 @@ def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Option
                 raise CorruptLogError(
                     f"offset {rec.offset}: {rec.event_kind} body is not a goal record: {exc!r}"
                 ) from None
-    return list(book.goals.values())
+    return list(book.goals.values() if policy_id is None else book.by_policy.get(policy_id, {}).values())
 
 
 def goal_snapshots(log: EventLog, upto: Optional[int] = None) -> dict[str, dict]:

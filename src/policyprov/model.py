@@ -11,6 +11,7 @@ the record keys and types the log writes a token's JSON text from.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional, get_type_hints
@@ -64,16 +65,17 @@ class PolicyStatus(str, Enum):
     TERMINATED = "terminated"
 
 
-@dataclass(frozen=True)
-class Address:
-    """Routing address: a registered network and an actor within it."""
+class Address(namedtuple("Address", ("network_id", "actor_id"))):
+    """Routing address: a registered network and an actor within it. A tuple,
+    so that its hash and equality, which every routing check and index runs,
+    are the tuple's own C code."""
 
-    network_id: str
-    actor_id: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.network_id or not self.actor_id:
+    def __new__(cls, network_id: str, actor_id: str) -> "Address":
+        if not network_id or not actor_id:
             raise ValueError("address parts must be non-empty")
+        return tuple.__new__(cls, (network_id, actor_id))
 
     def __str__(self) -> str:
         return f"{self.network_id}/{self.actor_id}"
@@ -218,7 +220,7 @@ def _encode(token) -> dict:
     table = _TABLES[type(token)]
     rec = vars(token).copy()
     for name, _, _ in table.enums:
-        rec[name] = rec[name].value
+        rec[name] = rec[name]._value_  # the member's attribute; `.value` is a property
     for name in table.addresses:
         rec[name] = str(rec[name])
     return rec
@@ -265,8 +267,14 @@ def _decode(cls, rec: dict, addresses: Optional[dict]):
                 raise TypeError(f"{name} is not text: {text!r}")
             address = addresses[text] = Address.parse(text)
         values[name] = address
-    # The checks above are `__init__`'s whole job (neither class has a
-    # `__post_init__`), so the instance takes `values` as its attributes.
+    return from_fields(cls, values)
+
+
+def from_fields(cls, values: dict):
+    """The `cls` token whose attributes are `values`: every field, in
+    declaration order, holding what `cls(**values)` would store. Neither token
+    class has a `__post_init__`, so this is that call without its per-field
+    `object.__setattr__`; the token takes `values` itself as its `__dict__`."""
     token = object.__new__(cls)
     object.__setattr__(token, "__dict__", values)
     return token

@@ -30,6 +30,7 @@ from .errors import (
     SelfDestinationError,
     TerminatedPolicyError,
     UnknownActorError,
+    UnknownDataIdError,
     UnknownDecisionError,
     UnknownNetworkError,
     UnknownPolicyError,
@@ -47,13 +48,15 @@ from .model import (
     RoutedToken,
     StakeholderNature,
     TokenKind,
+    from_fields,
     validate_local_token,
     validate_routed_token,
 )
 from .storage import DataStore, EventLog, record_text
 
-# The token id a token holds while it is validated, before it draws its own.
+# The token id and logical time a token holds while it is validated, before it draws its own.
 _UNISSUED_ID = "unissued"
+_UNISSUED_TIME = 0
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ class NetworkEngine:
         if self.owner is None:
             raise NoOwnerConfiguredError()
         if submission.data_id not in self.store:
-            raise ValueError("submission must be stored before notification")
+            raise UnknownDataIdError(submission.data_id)
         notify = from_addr != self.owner
         if notify:
             self._require_actor(from_addr)
@@ -200,6 +203,7 @@ class NetworkEngine:
                 "nature_of_stakeholders": self._stakeholder_nature(actor),
                 "data_details": data_details or task_input,
                 "source_of_evidence": source_of_evidence or task_input,
+                "timestamp": _UNISSUED_TIME,
                 "data_reference": data_reference,
             })
         self.goals.evaluate_event(token)
@@ -233,34 +237,36 @@ class NetworkEngine:
                 "previous_task_output": previous_task_output,
                 "nature_of_task_output": nature_of_task_output,
                 "task_description": task_description,
-                "required_action": required_action,
                 "communication_pattern": communication_pattern,
                 "nature_of_stakeholders": self._stakeholder_nature(destination),
                 "data_details": data_details or task_description,
                 "source_of_evidence": source_of_evidence or previous_task,
                 "communication_with": destination,
-                "data_reference": data_reference,
+                "timestamp": _UNISSUED_TIME,
                 "source_address": actor,
                 "destination_address": destination,
                 "kind": kind,
+                "required_action": required_action,
+                "data_reference": data_reference,
             })
         return token, self._route(token, record, text)
 
     def _issue(self, cls, validate, event_kind, actor, policy_id, goal_id, phase_id, fields):
         """The controller step of both token kinds: stamp goal and phase, take
-        the next sequence number, build a `cls` token with the caller's
-        `fields`, check it with `validate` and log its record as `event_kind`,
-        written as text from its field table; it returns the token, its record
-        and that text. Only a valid token draws its id, takes a fresh tick and
-        writes the sequence counter, so a refused token leaves no trace. The
-        validator sees the token with a placeholder id and time of the right
-        types; the token is still private here, so the two are then set in
-        place."""
+        the next sequence number, make a `cls` token from those and the
+        caller's `fields` (every other field, in declaration order, the time
+        at `_UNISSUED_TIME`), check it with `validate` and log its record as
+        `event_kind`, written as text from its field table; it returns the
+        token, its record and that text. Only a valid token draws its id, takes
+        a fresh tick and writes the sequence counter, so a refused token leaves
+        no trace. The validator sees the token with a placeholder id and time
+        of the right types; the token is still private here, so the two are
+        then set in place."""
         goal_id, phase_id = self._stamp(policy_id, goal_id, phase_id)
         key = (actor.network_id, policy_id)
         seq_num = self._seq.get(key, 0) + 1
-        token = cls(token_id=_UNISSUED_ID, policy_id=policy_id, phase_id=phase_id, goal_id=goal_id,
-                    seq_num=seq_num, timestamp=0, **fields)
+        token = from_fields(cls, {"token_id": _UNISSUED_ID, "policy_id": policy_id, "phase_id": phase_id,
+                                  "goal_id": goal_id, "seq_num": seq_num, **fields})
         result = validate(token)
         if not result.ok:
             raise InvalidTokenError(result.violations)

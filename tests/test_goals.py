@@ -113,19 +113,23 @@ class TestDefineGoal:
         with pytest.raises(EmptyMetricsError):
             system.define_goal(policy.policy_id, "agenda-setting", "g", [], by=OWNER)
 
-    @pytest.mark.parametrize("name, metrics", [
-        ("g", ["x"]),
-        ("g", "x"),
-        ("g", None),
-        (5, [Metric("m", MetricKind.APPROVAL, approver=BCU)]),
-    ], ids=["metric-not-a-metric", "metrics-text", "metrics-none", "name-not-text"])
-    def test_malformed_goal_rejected(self, name, metrics):
+    @pytest.mark.parametrize("name, metrics, goal_id", [
+        ("g", ["x"], None),
+        ("g", "x", None),
+        ("g", None, None),
+        (5, [Metric("m", MetricKind.APPROVAL, approver=BCU)], None),
+        ("g", [Metric("m", MetricKind.APPROVAL, approver=BCU)], ["g-1"]),
+        ("g", [Metric("m", MetricKind.APPROVAL, approver=BCU)], 7),
+        ("g", [Metric("m", "approval", approver=BCU)], None),
+    ], ids=["metric-not-a-metric", "metrics-text", "metrics-none", "name-not-text", "goal-id-a-list",
+            "goal-id-an-int", "metric-kind-text"])
+    def test_malformed_goal_rejected(self, name, metrics, goal_id):
         system = make_system()
         policy = open_policy(system)
-        logged = len(system.log)
+        logged, digest = len(system.log), system.log.content_hash()
         with pytest.raises(InvalidGoalError):
-            system.define_goal(policy.policy_id, "agenda-setting", name, metrics, by=OWNER)
-        assert len(system.log) == logged
+            system.define_goal(policy.policy_id, "agenda-setting", name, metrics, by=OWNER, goal_id=goal_id)
+        assert (len(system.log), system.log.content_hash()) == (logged, digest)
         assert system.goals.goals_for(policy.policy_id) == []
 
     def test_unknown_phase_rejected(self):
@@ -465,11 +469,12 @@ class TestModifyGoal:
         ({"op": "rename"}, InvalidGoalError),
         ({"op": "add-metric"}, InvalidGoalError),
         ({"op": "add-metric", "metric": "x"}, InvalidGoalError),
+        ({"op": "add-metric", "metric": Metric("m2", "approval", approver=BCU)}, InvalidGoalError),
         ({"op": "rename", "name": 5}, InvalidGoalError),
         ({"op": "remove-metric", "metric_id": ["m1"]}, InvalidGoalError),
         (None, InvalidGoalError),
     ], ids=["last-metric", "not-owner", "unknown-op", "duplicate-metric-id", "remove-without-metric-id", "no-op",
-            "rename-without-name", "add-without-metric", "metric-not-a-metric", "name-not-text",
+            "rename-without-name", "add-without-metric", "metric-not-a-metric", "metric-kind-text", "name-not-text",
             "metric-id-unhashable", "change-not-a-dict"])
     def test_rejected_change_leaves_goal_and_log_untouched(self, change, error):
         system = make_system()
@@ -716,13 +721,30 @@ def test_fold_of_hand_written_goal_records(policy_id, upto, expected):
 @pytest.mark.parametrize("second_kind", ["goal-defined", "goal-modified"])
 def test_goal_id_of_another_policy_in_a_loaded_log_is_corrupt(second_kind):
     """A goal id belongs to one policy: a log that defines g-x for pol-1 and then
-    for pol-2 does not fold, where it moved the goal to pol-2."""
+    for pol-2 does not fold, where it moved the goal to pol-2. Each policy's own
+    fold raises as the fold of every policy does, where pol-2's returned g-x."""
     log = EventLog()
     log.append("goal-defined", goal_record("g-x", "pol-1", "x", [metric_record("m1", artifact="x")]), 1)
     log.append(second_kind, goal_record("g-x", "pol-2", "x", [metric_record("m1", artifact="x")]), 2)
-    for fold in (trace_of, fold_goal_state):
-        with pytest.raises(CorruptLogError, match="goal g-x of pol-2 already belongs to pol-1"):
+    folds = (trace_of, fold_goal_state, lambda log: fold_goal_state(log, "pol-1"),
+             lambda log: fold_goal_state(log, "pol-2"))
+    for fold in folds:
+        with pytest.raises(CorruptLogError, match="^offset 1: .*goal g-x of pol-2 already belongs to pol-1"):
             fold(log)
+
+
+def test_each_policys_fold_of_a_valid_two_policy_log_is_its_part_of_every_policys_fold():
+    """The log of the test above with pol-2's goal named g-y folds, and each
+    policy's own fold is that policy's goals of the fold of every policy."""
+    log = EventLog()
+    log.append("goal-defined", goal_record("g-x", "pol-1", "x", [metric_record("m1", artifact="x")]), 1)
+    log.append("goal-defined", goal_record("g-y", "pol-2", "x", [metric_record("m1", artifact="x")]), 2)
+    every = [g.to_record() for g in fold_goal_state(log)]
+    assert [g["goal_id"] for g in every] == ["g-x", "g-y"]
+    for policy_id, upto in (("pol-1", None), ("pol-2", None), ("pol-1", 0), ("pol-2", 0)):
+        assert [g.to_record() for g in fold_goal_state(log, policy_id, upto)] == [
+            g.to_record() for g in fold_goal_state(log, upto=upto) if g.policy_id == policy_id]
+    assert fold_goal_state(log, "pol-2", 0) == []
 
 
 def test_satisfaction_record_naming_another_policys_goal_is_ignored_by_every_fold():

@@ -1,6 +1,8 @@
 """Token templates, addresses, and validation rules."""
 
+import copy
 import hashlib
+import pickle
 from dataclasses import fields
 from enum import Enum
 
@@ -79,8 +81,45 @@ class TestAddress:
         assert str(addr) == "local-council/policy-owner"
 
     def test_parse_rejects_missing_separator(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^address must be 'network/actor': 'no-separator'$"):
             Address.parse("no-separator")
+
+    @pytest.mark.parametrize("make", [
+        lambda: Address("", "actor"),
+        lambda: Address("net", ""),
+        lambda: Address.parse("/actor"),
+        lambda: Address.parse("net/"),
+    ], ids=["empty-network", "empty-actor", "parse-empty-network", "parse-empty-actor"])
+    def test_empty_part_rejected(self, make):
+        with pytest.raises(ValueError, match="^address parts must be non-empty$"):
+            make()
+
+    def test_built_and_parsed_addresses_are_one_key(self):
+        built, parsed = Address("local-council", "policy-owner"), Address.parse("local-council/policy-owner")
+        assert built == parsed and hash(built) == hash(parsed)
+        assert {built: 1}[parsed] == 1 and {parsed: 2}[built] == 2
+        assert built != Address("local-council", "other") and built != Address("other", "policy-owner")
+        assert (built.network_id, built.actor_id) == ("local-council", "policy-owner")
+
+    def test_str_and_repr(self):
+        address = Address("net", "a/b")
+        assert str(address) == "net/a/b"
+        assert repr(address) == "Address(network_id='net', actor_id='a/b')"
+        assert Address.parse(str(address)) == Address("net", "a/b")
+
+    def test_is_immutable(self):
+        address = Address("net", "alice")
+        with pytest.raises(AttributeError):
+            address.network_id = "other"
+        with pytest.raises(AttributeError):
+            address.extra = 1
+        assert address == Address("net", "alice")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        address = Address("net", "alice")
+        for copied in (pickle.loads(pickle.dumps(address)), copy.deepcopy(address), copy.copy(address)):
+            assert type(copied) is Address
+            assert copied == address and hash(copied) == hash(address) and str(copied) == "net/alice"
 
 
 class TestContentHash:

@@ -2,14 +2,27 @@
 
 import random
 import uuid
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policyprov import Address, Metric, MetricKind, TokenKind, fixture_path, load_scenario
+import policyprov.network as network_module
+from policyprov import (
+    Address,
+    ArtifactNature,
+    CommunicationPattern,
+    LocalToken,
+    Metric,
+    MetricKind,
+    RoutedToken,
+    TokenKind,
+    fixture_path,
+    load_scenario,
+)
 from policyprov.errors import (
     AlreadyTerminatedError,
     IntraNetworkRouteError,
@@ -18,6 +31,7 @@ from policyprov.errors import (
     SelfDestinationError,
     TerminatedPolicyError,
     UnknownActorError,
+    UnknownDataIdError,
     UnknownGoalError,
     UnknownNetworkError,
     UnknownPolicyError,
@@ -118,9 +132,12 @@ class TestPolicyCreation:
         from policyprov import DataRecord
 
         system = make_system()
+        logged, digest = len(system.log), system.log.content_hash()
         phantom = DataRecord("not-stored", b"", "note", COMMUNITY, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownDataIdError):
             system.notify_new_policy(phantom, COMMUNITY)
+        assert (len(system.log), system.log.content_hash()) == (logged, digest)
+        assert system.policies == {}
 
 
 def test_readme_library_example_opens_a_policy_with_one_goal():
@@ -245,6 +262,73 @@ class TestStamping:
             system.create_local_token(SNT, policy.policy_id, task="", task_input="i",
                                       task_output="o", task_description="d")
         assert "task" in err.value.violations
+
+
+TEXT = st.text(min_size=1, max_size=3)
+GOAL_ID = st.sampled_from([None, "", "g-problem-identification"])
+LOCAL_CALL = st.fixed_dictionaries(
+    {"task": TEXT, "task_input": TEXT, "task_output": TEXT, "task_description": TEXT},
+    optional={"nature_of_task_input": st.sampled_from(ArtifactNature),
+              "nature_of_task_output": st.sampled_from(ArtifactNature), "data_details": TEXT,
+              "source_of_evidence": TEXT, "data_reference": TEXT, "goal_id": GOAL_ID, "phase_id": TEXT},
+).map(lambda kwargs: ("create_local_token", LocalToken, "validate_local_token", kwargs))
+SEND_CALL = st.fixed_dictionaries(
+    {"destination": st.sampled_from([BCU, NWT, COMMUNITY]), "previous_task": TEXT, "previous_task_output": TEXT,
+     "task_description": TEXT},
+    optional={"kind": st.sampled_from(TokenKind), "nature_of_task_output": st.sampled_from(ArtifactNature),
+              "required_action": TEXT, "communication_pattern": st.sampled_from(CommunicationPattern),
+              "data_details": TEXT, "source_of_evidence": TEXT, "data_reference": TEXT, "goal_id": GOAL_ID,
+              "phase_id": TEXT},
+).map(lambda kwargs: ("send_token", RoutedToken, "validate_routed_token", kwargs))
+
+
+@st.composite
+def token_calls(draw):
+    """A `create_local_token` or `send_token` call: each argument of its type,
+    or, half the time, one of them empty or of another type."""
+    method, cls, validator, kwargs = draw(st.one_of(LOCAL_CALL, SEND_CALL))
+    spoilable = sorted(kwargs.keys() - {"destination", "goal_id"})
+    if spoilable and draw(st.booleans()):
+        kwargs[draw(st.sampled_from(spoilable))] = draw(st.sampled_from(["", None, 5, True, b"x", "document"]))
+    return method, cls, validator, kwargs
+
+
+@settings(max_examples=120, deadline=None)
+@given(token_calls())
+def test_an_issued_token_is_the_one_its_fields_build(call):
+    """The token the controller validates and issues equals the token its
+    fields build through the dataclass constructor, its attributes in field
+    declaration order; a refused call raises the violations of that built
+    token and leaves the log, the clock and the sequence counters as they were."""
+    method, cls, validator, kwargs = call
+    system = make_system()
+    policy = open_policy(system)
+    define_default_goal(system, policy)
+    validate, seen = getattr(network_module, validator), []
+
+    def spy(token):
+        seen.append(token)
+        return validate(token)
+
+    names = [f.name for f in fields(cls)]
+    logged, counters, now = len(system.log), dict(system._seq), system.log.tick()
+    with mock.patch.object(network_module, validator, spy):
+        try:
+            issued = getattr(system, method)(SNT, policy.policy_id, **kwargs)
+        except InvalidTokenError as refusal:
+            [token] = seen
+            assert (token.token_id, token.timestamp) == ("unissued", 0)
+            assert token == cls(**vars(token)) and list(vars(token)) == names
+            assert refusal.violations == validate(cls(**vars(token))).violations != []
+            assert (len(system.log), system._seq, system.log.tick()) == (logged, counters, now + 1)
+            return
+    token = issued[0] if method == "send_token" else issued
+    assert seen[0] is token
+    assert token == cls(**vars(token)) and list(vars(token)) == names
+    assert list(token.to_record()) == names
+    logged_record = system.log[logged]
+    assert (logged_record.event_kind, logged_record.body) == (
+        {LocalToken: "local-token", RoutedToken: "routed-token-send"}[cls], token.to_record())
 
 
 class TestRouting:

@@ -319,13 +319,14 @@ class GoalEngine:
 
 def _check_form(name, metrics) -> None:
     """A goal the engine logs has a text name and a list of `Metric`s, each of
-    a `MetricKind`; the goal rules are `GoalBook.apply`'s."""
+    a `MetricKind` with a text id; the goal rules are `GoalBook.apply`'s."""
     if not isinstance(name, str):
         raise InvalidGoalError(f"goal name {name!r} is not text")
     if not isinstance(metrics, (list, tuple)) or not all(
-        isinstance(metric, Metric) and isinstance(metric.kind, MetricKind) for metric in metrics
+        isinstance(metric, Metric) and isinstance(metric.kind, MetricKind) and isinstance(metric.metric_id, str)
+        for metric in metrics
     ):
-        raise InvalidGoalError(f"goal metrics are not a list of Metric of a MetricKind: {metrics!r}")
+        raise InvalidGoalError(f"goal metrics are not a list of Metric of a MetricKind with a text id: {metrics!r}")
 
 
 def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Optional[int] = None) -> list[Goal]:

@@ -200,12 +200,33 @@ def query(
     phase_id: Optional[str] = None,
     actor: Optional[str] = None,
 ) -> QueryResult:
-    """Scan-and-filter over the log plus the subgraph its local-token matches induce."""
+    """Scan-and-filter over the log plus the subgraph its local-token matches induce.
+
+    Of each policy the matches name, only what that subgraph reads is
+    decoded, and so checked: every matched token record, every local token
+    of a kept actor (the performer of a matched local token) and every send
+    from or to a kept actor. An edge joins two kept actors' activities, and
+    its pattern reads its sender's timeline and the replies into it, so the
+    subgraph is the one the whole policy induces. Any other token record is
+    skipped unread; checking a whole log is a full export's work.
+    """
     events = log.scan(policy_id=policy_id, goal_id=goal_id, phase_id=phase_id, actor=actor)
     policies = sorted(policy_ids(events))
-    views = views_of(log, policies)  # decodes, so checks, every matched record
-    matched = {rec.body["token_id"] for rec in events if rec.event_kind == "local-token"}
-    graphs = [_graph(views[pid], token_ids=matched) for pid in policies]
+    matched = {rec.offset for rec in events}
+    performers = [rec.body.get("who_carried_out") for rec in events if rec.event_kind == "local-token"]
+    kept = {who for who in performers if isinstance(who, str)}  # a non-text one fails its record's decode
+
+    def decodes(rec) -> bool:  # a send, a local token or a record views_of ignores
+        body = rec.body
+        if rec.offset in matched:
+            return True
+        if rec.event_kind == "local-token":
+            return body.get("who_carried_out") in kept
+        return body.get("source_address") in kept or body.get("destination_address") in kept
+
+    views = views_of(log, policies, decodes)
+    token_ids = {rec.body["token_id"] for rec in events if rec.event_kind == "local-token"}
+    graphs = [_graph(views[pid], token_ids=token_ids) for pid in policies]
     nodes = [node for graph in graphs for node in graph.nodes]
     edges = [edge for graph in graphs for edge in graph.edges]
     return QueryResult(events, ProcessGraph(policy_id or ",".join(policies), nodes, edges))

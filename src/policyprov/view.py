@@ -4,6 +4,11 @@ Every lookup of `prov` and `reconstruct` is a `bisect` or a dict lookup on a
 `PolicyView`. Its lists are sorted by timestamp, ties in log order (which the
 log's one logical time, `EventLog.tick`, makes the same order). Views live for
 one call.
+
+A view holds the tokens `views_of` decoded. The exports decode every token
+record of their policy, and so check each one; `reconstruct.query` decodes
+only the token records its induced subgraph reads, and leaves out the rest.
+Every receive record of the policy is read either way.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import CorruptLogError, UnknownPolicyError
 from .model import Address, LocalToken, RoutedToken, TokenKind
-from .storage import EventLog
+from .storage import EventLog, EventRecord
 
 
 def activity_id_for(token: LocalToken) -> str:
@@ -125,8 +130,11 @@ def _last_at(entry, at: int) -> Optional[LocalToken]:
     return tokens[i - 1] if i else None
 
 
-def views_of(log: EventLog, wanted) -> dict:
-    """One view per wanted policy, from a single pass over the log."""
+def views_of(log: EventLog, wanted, decodes: Optional[Callable[[EventRecord], bool]] = None) -> dict:
+    """One view per wanted policy, from a single pass over the log. With
+    `decodes`, each record of a wanted policy but a receive is passed to it
+    first, and one it returns false for is skipped: a token record so skipped
+    is neither decoded, so not checked, nor in the view."""
     found = {pid: ([], [], {}) for pid in wanted}
     named = set()  # the wanted policies some record names
     addresses: dict = {}  # each distinct address text of this call, parsed once
@@ -137,12 +145,14 @@ def views_of(log: EventLog, wanted) -> dict:
             continue
         named.add(policy_id)
         try:
-            if rec.event_kind == "local-token":
+            if rec.event_kind == "routed-token-receive":
+                parts[2][rec.body["token_id"]] = rec.logical_time
+            elif decodes is not None and not decodes(rec):
+                continue
+            elif rec.event_kind == "local-token":
                 parts[0].append(LocalToken.from_record(rec.body, addresses))
             elif rec.event_kind == "routed-token-send":
                 parts[1].append(RoutedToken.from_record(rec.body, addresses))
-            elif rec.event_kind == "routed-token-receive":
-                parts[2][rec.body["token_id"]] = rec.logical_time
         except (KeyError, TypeError, ValueError) as exc:  # a field missing, extra or of a bad type or value
             raise CorruptLogError(f"offset {rec.offset}: {rec.event_kind} body is not a token: {exc!r}") from None
     for pid in found:

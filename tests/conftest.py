@@ -94,6 +94,27 @@ def oracle_scan(log, **filters):
     return out
 
 
+def induced_subgraph(log, events, graphs: dict) -> tuple[list, list]:
+    """The nodes and edges `query` must return for the matched `events`: each
+    policy they name, in id order, its whole `reconstruct_process` graph
+    (built once into `graphs`) induced on the activities of the matched local
+    tokens, each known by its actor and time."""
+    from policyprov import reconstruct_process
+
+    performed = {
+        (rec.body["who_carried_out"], rec.body["timestamp"]) for rec in events if rec.event_kind == "local-token"
+    }
+    nodes, edges = [], []
+    for policy_id in sorted({rec.body["policy_id"] for rec in events if "policy_id" in rec.body}):
+        if policy_id not in graphs:
+            graphs[policy_id] = reconstruct_process(log, policy_id)
+        kept = [node for node in graphs[policy_id].nodes if (node.actor, node.time) in performed]
+        ids = {node.node_id for node in kept}
+        nodes += kept
+        edges += [edge for edge in graphs[policy_id].edges if edge.src_node in ids and edge.dst_node in ids]
+    return nodes, edges
+
+
 def conservation_violations(log) -> list[str]:
     """Every send must pair with exactly one receive OR one dead-letter
     receipt; duplicate receipts never accompany a second receive."""

@@ -121,8 +121,10 @@ class TestDefineGoal:
         ("g", [Metric("m", MetricKind.APPROVAL, approver=BCU)], ["g-1"]),
         ("g", [Metric("m", MetricKind.APPROVAL, approver=BCU)], 7),
         ("g", [Metric("m", "approval", approver=BCU)], None),
+        ("g", [Metric(["m"], MetricKind.APPROVAL, approver=BCU)], None),
+        ("g", [Metric(5, MetricKind.APPROVAL, approver=BCU)], None),
     ], ids=["metric-not-a-metric", "metrics-text", "metrics-none", "name-not-text", "goal-id-a-list",
-            "goal-id-an-int", "metric-kind-text"])
+            "goal-id-an-int", "metric-kind-text", "metric-id-a-list", "metric-id-an-int"])
     def test_malformed_goal_rejected(self, name, metrics, goal_id):
         system = make_system()
         policy = open_policy(system)
@@ -473,9 +475,16 @@ class TestModifyGoal:
         ({"op": "rename", "name": 5}, InvalidGoalError),
         ({"op": "remove-metric", "metric_id": ["m1"]}, InvalidGoalError),
         (None, InvalidGoalError),
+        ({"op": "add-metric", "metric": Metric(["m2"], MetricKind.APPROVAL, approver=BCU)}, InvalidGoalError),
+        ({"op": "add-metric", "metric": Metric(5, MetricKind.APPROVAL, approver=BCU)}, InvalidGoalError),
+        ({"op": "replace-metric", "metric_id": "m1", "metric": Metric(["m1"], MetricKind.APPROVAL, approver=BCU)},
+         InvalidGoalError),
+        ({"op": "replace-metric", "metric_id": "m1", "metric": Metric(5, MetricKind.APPROVAL, approver=BCU)},
+         InvalidGoalError),
     ], ids=["last-metric", "not-owner", "unknown-op", "duplicate-metric-id", "remove-without-metric-id", "no-op",
             "rename-without-name", "add-without-metric", "metric-not-a-metric", "metric-kind-text", "name-not-text",
-            "metric-id-unhashable", "change-not-a-dict"])
+            "metric-id-unhashable", "change-not-a-dict", "metric-id-a-list", "metric-id-an-int",
+            "replaced-metric-id-a-list", "replaced-metric-id-an-int"])
     def test_rejected_change_leaves_goal_and_log_untouched(self, change, error):
         system = make_system()
         policy = open_policy(system)
@@ -484,12 +493,12 @@ class TestModifyGoal:
             [Metric("m1", MetricKind.ARTIFACT_DELIVERY, artifact_key="report")],
             by=OWNER, goal_id="g-one",
         )
-        before, logged = goal.to_record(), len(system.log)
+        before, logged, digest = goal.to_record(), len(system.log), system.log.content_hash()
         by = SNT if error is NotOwnerError else OWNER
         with pytest.raises(error):
             system.modify_goal(policy.policy_id, "g-one", change, by=by)
         assert goal.to_record() == before
-        assert len(system.log) == logged
+        assert (len(system.log), system.log.content_hash()) == (logged, digest)
 
     @pytest.mark.parametrize("change", [
         {"op": "remove-metric", "metric_id": "nope"},

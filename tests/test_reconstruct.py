@@ -1,5 +1,6 @@
 """Process reconstruction: graphs, pattern classification, loops, querying."""
 
+import json
 import re
 
 import pytest
@@ -13,9 +14,11 @@ from policyprov import (
     reconstruct_process,
     to_dot,
 )
-from policyprov.errors import UnknownPhaseError, UnknownPolicyError
+from policyprov.errors import CorruptLogError, UnknownPhaseError, UnknownPolicyError
+from policyprov.storage import EventLog
 
-from conftest import BCU, NWT, OWNER, SNT, define_default_goal, make_system, open_policy
+from conftest import BCU, NWT, OWNER, SNT, define_default_goal, induced_subgraph, make_system, open_policy
+from test_golden import FIXTURES, query_filters, two_policy_log
 
 
 PHASES_FIVE = ("agenda-setting", "analysis", "implementation", "monitoring", "evaluation")
@@ -227,6 +230,135 @@ class TestQuery:
         result = query(system.log, policy_id=policy.policy_id,
                        goal_id="g-problem-identification")
         assert {n.goal_id for n in result.subgraph.nodes} == {"g-problem-identification"}
+
+
+def assert_queries_induce_the_whole_graph(log):
+    """Every golden query filter's subgraph is the whole graph of each matched policy induced on its matches."""
+    graphs = {}
+    for filters in query_filters(log):
+        subgraph = query(log, **filters).subgraph
+        assert (subgraph.nodes, subgraph.edges) == induced_subgraph(log, log.scan(**filters), graphs), filters
+
+
+class TestQueryEqualsInducedGraph:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture(self, name, fixture_traces):
+        assert_queries_induce_the_whole_graph(fixture_traces[name][1].log)
+
+    def test_two_policies(self):
+        assert_queries_induce_the_whole_graph(two_policy_log())
+
+    def test_first_fifty_random_runs(self, random_traces):
+        for seed, trace in random_traces[:50]:
+            assert_queries_induce_the_whole_graph(trace.log)
+
+    def test_reply_from_an_actor_not_kept_sets_the_pattern(self):
+        """SNT sends to BCU and NWT at once; NWT replies before SNT acts again
+        and BCU after, so the pair is synchronous-parallel only with NWT's reply
+        read, although a query by phase "analysis" keeps SNT and BCU alone."""
+        system = make_system()
+        policy = open_policy(system)
+        define_default_goal(system, policy)
+        pid = policy.policy_id
+        local(system, SNT, pid, "analyse", phase_id="analysis")
+        handoff(system, SNT, pid, BCU, task="analyse")
+        handoff(system, SNT, pid, NWT, task="analyse")
+        local(system, BCU, pid, "review", phase_id="analysis")
+        local(system, NWT, pid, "patrol")
+        handoff(system, NWT, pid, SNT, task="patrol")
+        local(system, SNT, pid, "draft", phase_id="analysis")
+        handoff(system, BCU, pid, SNT, task="review")
+        subgraph = query(system.log, phase_id="analysis").subgraph
+        assert [(edge.src_actor, edge.dst_actor, edge.pattern) for edge in subgraph.edges] == [
+            (str(SNT), str(BCU), CommunicationPattern.SYNCHRONOUS_PARALLEL),
+        ]
+        assert_queries_induce_the_whole_graph(system.log)
+
+
+def relay_log(tmp_path):
+    """A logged relay SNT -> BCU -> NWT -> OWNER -> SNT. Only the first two
+    activities are in phase "analysis", so a query by that phase keeps SNT and
+    BCU; the returned dict maps each activity's task and each send's route to
+    its token id."""
+    system = make_system(log_path=tmp_path / "events.jsonl")
+    policy = open_policy(system)
+    define_default_goal(system, policy)
+    pid = policy.policy_id
+    ids = {
+        "analyse": local(system, SNT, pid, "analyse", phase_id="analysis").token_id,
+        "SNT->BCU": handoff(system, SNT, pid, BCU, task="analyse")[0].token_id,
+        "review": local(system, BCU, pid, "review", phase_id="analysis").token_id,
+        "BCU->NWT": handoff(system, BCU, pid, NWT, task="review")[0].token_id,
+        "patrol": local(system, NWT, pid, "patrol").token_id,
+        "NWT->OWNER": handoff(system, NWT, pid, OWNER, task="patrol")[0].token_id,
+        "decide": local(system, OWNER, pid, "decide").token_id,
+        "OWNER->SNT": handoff(system, OWNER, pid, SNT, task="decide")[0].token_id,
+        "draft": local(system, SNT, pid, "draft").token_id,
+    }
+    system.log.close()
+    return tmp_path / "events.jsonl", ids
+
+
+def spoiled(path, token_ids, spoil):
+    """The log at `path` with `spoil` applied to the token bodies of `token_ids`, and their offsets."""
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    bad = [
+        raw for raw in lines
+        if raw["event_kind"] in ("local-token", "routed-token-send") and raw["body"]["token_id"] in token_ids
+    ]
+    for raw in bad:
+        raw["body"] = spoil(raw["body"])
+    path.write_text("".join(json.dumps(raw) + "\n" for raw in lines))
+    return EventLog.load(path), [raw["offset"] for raw in bad]
+
+
+class TestQueryDecodes:
+    """`query` decodes, so checks, each token record its subgraph reads, and no other."""
+
+    def test_relay_keeps_two_actors(self, tmp_path):
+        path, ids = relay_log(tmp_path)
+        subgraph = query(EventLog.load(path), phase_id="analysis").subgraph
+        assert [node.actor for node in subgraph.nodes] == [str(SNT), str(BCU)]
+        assert [edge.token_id for edge in subgraph.edges] == [ids["SNT->BCU"]]
+
+    def test_corrupt_matched_local_token_raises(self, tmp_path):
+        path, ids = relay_log(tmp_path)
+        log, (offset,) = spoiled(path, {ids["review"]}, lambda body: body | {"task": 5})
+        with pytest.raises(CorruptLogError, match=f"^offset {offset}: local-token body "):
+            query(log, phase_id="analysis")
+
+    @pytest.mark.parametrize("route", ["SNT->BCU", "BCU->NWT", "OWNER->SNT"])
+    def test_corrupt_send_from_or_to_a_kept_actor_raises(self, tmp_path, route):
+        path, ids = relay_log(tmp_path)
+        log, (offset,) = spoiled(path, {ids[route]}, lambda body: body | {"kind": "bogus"})
+        assert offset not in [rec.offset for rec in log.scan(phase_id="analysis")]
+        with pytest.raises(CorruptLogError, match=f"^offset {offset}: routed-token-send body "):
+            query(log, phase_id="analysis")
+
+    @pytest.mark.parametrize("spoil", [
+        lambda body: body | {"who_carried_out": 5},
+        lambda body: body | {"who_carried_out": None},
+        lambda body: body | {"who_carried_out": ["local-council/business-control-unit"]},
+        lambda body: body | {"who_carried_out": {"actor": "x"}},
+        lambda body: body | {"who_carried_out": "no-separator"},
+        lambda body: {k: v for k, v in body.items() if k != "who_carried_out"},
+    ], ids=["int", "null", "list", "dict", "text-not-an-address", "missing"])
+    def test_matched_local_token_whose_performer_is_not_an_address_raises(self, tmp_path, spoil):
+        path, ids = relay_log(tmp_path)
+        log, (offset,) = spoiled(path, {ids["review"]}, spoil)
+        with pytest.raises(CorruptLogError, match=f"^offset {offset}: local-token body "):
+            query(log, phase_id="analysis")
+
+    def test_records_it_does_not_read_are_not_checked(self, tmp_path):
+        path, ids = relay_log(tmp_path)
+        clean = query(EventLog.load(path), phase_id="analysis")
+        unread = {ids["NWT->OWNER"], ids["patrol"], ids["decide"]}
+        log, offsets = spoiled(path, unread, lambda body: body | {"kind": "bogus", "task": 5})
+        assert len(offsets) == 3
+        result = query(log, phase_id="analysis")
+        assert (result.events, result.subgraph) == (clean.events, clean.subgraph)
+        with pytest.raises(CorruptLogError, match=f"^offset {offsets[0]}: "):
+            reconstruct_process(log, result.subgraph.policy_id)  # a whole-policy read still checks them
 
 
 class TestDot:

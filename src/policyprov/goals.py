@@ -129,9 +129,6 @@ class Goal:
         )
 
 
-GOAL_KINDS = frozenset(("goal-defined", "goal-modified", "metric-satisfied", "goal-satisfied"))
-
-
 class GoalBook:
     """Goal state and its indexes, changed only by `apply`."""
 
@@ -148,11 +145,12 @@ class GoalBook:
         self.position: dict[str, int] = {}
 
     def apply(self, event_kind: str, body: dict) -> None:
-        """Apply one record of a kind in `GOAL_KINDS`, or raise before anything
-        changes. A goal id belongs to one policy (`DuplicateGoalError`), a goal
-        has a metric (`EmptyMetricsError`; `LastMetricError` for a change), and no
-        two of its metrics share an id (`DuplicateMetricError`). A satisfaction
-        record is ignored unless its goal is one of its own policy's."""
+        """Apply one record of a kind in `storage.GOAL_KINDS`, or raise before
+        anything changes. A goal id belongs to one policy (`DuplicateGoalError`),
+        a goal has a metric (`EmptyMetricsError`; `LastMetricError` for a
+        change), and no two of its metrics share an id (`DuplicateMetricError`).
+        A satisfaction record is ignored unless its goal is one of its own
+        policy's."""
         if event_kind in ("goal-defined", "goal-modified"):
             new = Goal.from_record(body)
             goal = self.goals.get(new.goal_id)
@@ -332,21 +330,21 @@ def _check_form(name, metrics) -> None:
 def fold_goal_state(log: EventLog, policy_id: Optional[str] = None, upto: Optional[int] = None) -> list[Goal]:
     """Rebuild goal state purely from recorded goal events, and return every
     goal, or `policy_id`'s alone; a body the book cannot read, or one that
-    breaks a goal rule, is a `CorruptLogError` naming its offset. Every goal
-    record is folded either way, as a goal rule may span policies, so the
+    breaks a goal rule, is a `CorruptLogError` naming its offset. It walks
+    the log's goal records alone (`EventLog.goal_records`), and every one of
+    them up to `upto` either way, as a goal rule may span policies, so the
     folds of one log raise alike."""
     book = GoalBook()
-    for rec in log:
+    for rec in log.goal_records():
         if upto is not None and rec.offset > upto:
             break
-        if rec.event_kind in GOAL_KINDS:
-            try:
-                book.apply(rec.event_kind, rec.body)
-            # A field missing or bad (an approver that is not text has no `partition`), or a rule broken.
-            except (AttributeError, KeyError, TypeError, ValueError, PolicyProvError) as exc:
-                raise CorruptLogError(
-                    f"offset {rec.offset}: {rec.event_kind} body is not a goal record: {exc!r}"
-                ) from None
+        try:
+            book.apply(rec.event_kind, rec.body)
+        # A field missing or bad (an approver that is not text has no `partition`), or a rule broken.
+        except (AttributeError, KeyError, TypeError, ValueError, PolicyProvError) as exc:
+            raise CorruptLogError(
+                f"offset {rec.offset}: {rec.event_kind} body is not a goal record: {exc!r}"
+            ) from None
     return list(book.goals.values() if policy_id is None else book.by_policy.get(policy_id, {}).values())
 
 

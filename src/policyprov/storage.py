@@ -4,6 +4,13 @@ The log is the single source of truth: every token, goal event, decision and
 receipt lands here, and all downstream state is a fold over it. On-disk form
 is UTF-8 JSON Lines, one record per line; the data store is a directory of
 files named by payload hash.
+
+Besides every record in offset order, the log keeps each `policy_id`'s
+records and the goal records (`GOAL_KINDS`), each list in offset order and
+filled as a record is kept. `scan` with a `policy_id` walks that policy's
+list, and with none every record; `policy_records` and `goal_records` hand
+out the lists that `view.views_of` and `goals.fold_goal_state` walk, and
+`policy_ids` of a whole log reads the policies' keys.
 """
 
 from __future__ import annotations
@@ -12,8 +19,10 @@ import hashlib
 import json
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -32,6 +41,7 @@ EVENT_KINDS = (
     "receipt",
     "data-stored",
 )
+GOAL_KINDS = frozenset(("goal-defined", "goal-modified", "metric-satisfied", "goal-satisfied"))
 
 # One canonical encoder for every record: sorted keys, no spaces, ASCII only.
 # The token writers below take its quoting and separators from it.
@@ -75,6 +85,9 @@ _RECEIVE_TAIL = re.compile(
 )
 # The types of a flat body's values: a copy of such a body shares no mutable object.
 _FLAT = frozenset((type(None), bool, int, float, str))
+# What `body.get("policy_id", _NO_POLICY)` gives for a body with no policy_id.
+_NO_POLICY = object()
+_offset = attrgetter("offset")
 
 _ADDRESS_FIELDS = (
     "who_carried_out",
@@ -129,16 +142,17 @@ def record_text(cls, rec: dict) -> str:
 
 def policy_ids(records) -> list[str]:
     """The policy ids the records name, in first-appearance order."""
+    if isinstance(records, EventLog):
+        return list(records._by_policy)
     return list(dict.fromkeys(rec.body["policy_id"] for rec in records if "policy_id" in rec.body))
 
 
-def _actor_matches(body: dict, actor: str, suffix: Optional[str]) -> bool:
-    """Whether `actor` names an address text of `body`. An actor holding "/"
-    names only an equal text; a bare actor id, whose `suffix` is "/" + actor,
-    also names every text that ends in that suffix."""
+def _actor_matches(body: dict, actor: str, suffix: str) -> bool:
+    """Whether the bare actor id `actor`, whose `suffix` is "/" + actor, names
+    an address text of `body`: one equal to it or ending in that suffix."""
     for key in _ADDRESS_FIELDS:
         value = body.get(key)
-        if isinstance(value, str) and (value == actor or suffix is not None and value.endswith(suffix)):
+        if isinstance(value, str) and (value == actor or value.endswith(suffix)):
             return True
     return False
 
@@ -149,6 +163,9 @@ class EventLog:
 
     def __init__(self, path: Optional[Path] = None):
         self._records: list[EventRecord] = []
+        # Each policy_id's records and the goal records, in offset order.
+        self._by_policy: dict[str, list[EventRecord]] = {}
+        self._goal_records: list[EventRecord] = []
         self._now = 0
         # Running SHA-256 over the JSON lines of the first `_hashed` records.
         self._digest = hashlib.sha256()
@@ -178,12 +195,22 @@ class EventLog:
             raise TypeError(f"logical_time {logical_time!r} is not an integer")
         if not isinstance(body, dict):
             raise TypeError(f"body {body!r} is not a dict")
-        if type(body.get("policy_id", "")) is not str:
-            raise TypeError(f"policy_id {body['policy_id']!r} is not text")
+        policy_id = body.get("policy_id", _NO_POLICY)
+        if type(policy_id) is not str and policy_id is not _NO_POLICY:
+            raise TypeError(f"policy_id {policy_id!r} is not text")
         if self._fh is not None and text is None:
             text = _ENCODER.encode(body)  # first, so that a body it refuses is not kept
         offset = len(self._records)
-        self._records.append(_event_record(offset, event_kind, logical_time, body))
+        record = _event_record(offset, event_kind, logical_time, body)
+        self._records.append(record)
+        if policy_id is not _NO_POLICY:
+            own = self._by_policy.get(policy_id)
+            if own is None:
+                self._by_policy[policy_id] = [record]
+            else:
+                own.append(record)
+        if event_kind in GOAL_KINDS:
+            self._goal_records.append(record)
         if self._fh is not None:
             # The file is only ever opened in __init__, so every earlier
             # record was hashed here too. The flush makes each record durable
@@ -204,25 +231,48 @@ class EventLog:
         event_kind: Optional[str] = None,
         offset_range: Optional[tuple[int, int]] = None,
     ) -> list[EventRecord]:
-        """Exact-match conjunction over the filters, in offset order."""
-        out = []
-        suffix = None if actor is None or "/" in actor else "/" + actor
-        for rec in self._records:
-            if offset_range is not None and not (offset_range[0] <= rec.offset <= offset_range[1]):
-                continue
-            if event_kind is not None and rec.event_kind != event_kind:
-                continue
-            body = rec.body
-            if policy_id is not None and body.get("policy_id") != policy_id:
-                continue
-            if goal_id is not None and body.get("goal_id") != goal_id:
-                continue
-            if phase_id is not None and body.get("phase_id") != phase_id:
-                continue
-            if actor is not None and not _actor_matches(body, actor, suffix):
-                continue
-            out.append(rec)
-        return out
+        """Exact-match conjunction over the filters, in offset order. With a
+        `policy_id` it walks that policy's records, and with none every
+        record; `offset_range` (inclusive) is a slice of those, as offsets
+        are dense from 0. Each other filter is one pass, the actor's last."""
+        base = self._records if policy_id is None else self._by_policy.get(policy_id, [])
+        out = base
+        if offset_range is not None:
+            lo, hi = offset_range
+            if policy_id is None:
+                out = base[max(lo, 0) : max(hi + 1, 0)]
+            else:
+                out = base[bisect_left(base, lo, key=_offset) : bisect_right(base, hi, key=_offset)]
+        if event_kind is not None:
+            out = [rec for rec in out if rec.event_kind == event_kind]
+        if goal_id is not None:
+            out = [rec for rec in out if rec.body.get("goal_id") == goal_id]
+        if phase_id is not None:
+            out = [rec for rec in out if rec.body.get("phase_id") == phase_id]
+        if actor is not None:
+            if "/" in actor:
+                # A full address names only an equal text: each field of
+                # `_ADDRESS_FIELDS` is compared inline, with no call per record.
+                out = [
+                    rec for rec in out
+                    if (body := rec.body).get("who_carried_out") == actor or body.get("source_address") == actor
+                    or body.get("destination_address") == actor or body.get("created_by") == actor
+                    or body.get("by") == actor
+                ]
+            else:
+                suffix = "/" + actor
+                out = [rec for rec in out if _actor_matches(rec.body, actor, suffix)]
+        return out[:] if out is base else out
+
+    def policy_records(self, policy_id: str) -> list[EventRecord]:
+        """The records whose `policy_id` is this one, in offset order; empty
+        for a policy no record names. The log's own list: do not change it."""
+        return self._by_policy.get(policy_id, [])
+
+    def goal_records(self) -> list[EventRecord]:
+        """The records of a kind in `GOAL_KINDS`, in offset order. The log's
+        own list: do not change it."""
+        return self._goal_records
 
     def __iter__(self) -> Iterator[EventRecord]:
         return iter(self._records)
@@ -267,7 +317,7 @@ class EventLog:
         head alone. Every other line is decoded alone, and every record passes
         the same checks."""
         log = cls()
-        records = log._records
+        records, by_policy, goal_records = log._records, log._by_policy, log._goal_records
         last_time = -math.inf
         head = send_body = None  # the last send line's head, while its body is flat
         with Path(path).open("rb") as fh:
@@ -309,14 +359,24 @@ class EventLog:
                 if logical_time < last_time:
                     raise CorruptLogError(f"line {number}: logical_time {logical_time} is before {last_time}")
                 # Every reader groups records by policy_id, so it must be text.
-                if type(body.get("policy_id", "")) is not str:
-                    raise CorruptLogError(f"line {number}: policy_id {body['policy_id']!r} is not text")
+                policy_id = body.get("policy_id", _NO_POLICY)
+                if type(policy_id) is not str and policy_id is not _NO_POLICY:
+                    raise CorruptLogError(f"line {number}: policy_id {policy_id!r} is not text")
                 last_time = logical_time
-                records.append(_event_record(offset, kind, logical_time, body))
+                record = _event_record(offset, kind, logical_time, body)
+                records.append(record)
+                if policy_id is not _NO_POLICY:
+                    own = by_policy.get(policy_id)
+                    if own is None:
+                        by_policy[policy_id] = [record]
+                    else:
+                        own.append(record)
                 if kind == "routed-token-send":
                     tail = b'%s%d,"offset":%d}' % (_SEND_TEXT, logical_time, offset)
                     flat = text.endswith(tail) and _FLAT.issuperset(map(type, body.values()))
                     head, send_body = (text[: -len(tail)], body) if flat else (None, None)
+                elif kind in GOAL_KINDS:
+                    goal_records.append(record)
         if records:
             log._now = last_time
         return log

@@ -5,6 +5,9 @@ Every lookup of `prov` and `reconstruct` is a `bisect` or a dict lookup on a
 log's one logical time, `EventLog.tick`, makes the same order). Views live for
 one call.
 
+`views_of` walks each wanted policy's own record list, which the log keeps
+(`EventLog.policy_records`), and no record of another policy.
+
 A view holds the tokens `views_of` decoded. The exports decode every token
 record of their policy, and so check each one; `reconstruct.query` decodes
 only the token records its induced subgraph reads, and leaves out the rest.
@@ -131,32 +134,35 @@ def _last_at(entry, at: int) -> Optional[LocalToken]:
 
 
 def views_of(log: EventLog, wanted, decodes: Optional[Callable[[EventRecord], bool]] = None) -> dict:
-    """One view per wanted policy, from a single pass over the log. With
-    `decodes`, each record of a wanted policy but a receive is passed to it
-    first, and one it returns false for is skipped: a token record so skipped
-    is neither decoded, so not checked, nor in the view."""
+    """One view per wanted policy, each from that policy's own records
+    (`EventLog.policy_records`). With `decodes`, each record of a wanted
+    policy but a receive is passed to it first, and one it returns false for
+    is skipped: a token record so skipped is neither decoded, so not checked,
+    nor in the view. A token record that does not decode raises
+    `CorruptLogError`, naming the lowest such offset of the wanted policies,
+    before a wanted policy that no record names raises `UnknownPolicyError`."""
     found = {pid: ([], [], {}) for pid in wanted}
-    named = set()  # the wanted policies some record names
+    corrupt = None  # (offset, message) of the lowest-offset record that did not decode
     addresses: dict = {}  # each distinct address text of this call, parsed once
-    for rec in log:
-        policy_id = rec.body.get("policy_id")
-        parts = found.get(policy_id)
-        if parts is None:
-            continue
-        named.add(policy_id)
-        try:
-            if rec.event_kind == "routed-token-receive":
-                parts[2][rec.body["token_id"]] = rec.logical_time
-            elif decodes is not None and not decodes(rec):
-                continue
-            elif rec.event_kind == "local-token":
-                parts[0].append(LocalToken.from_record(rec.body, addresses))
-            elif rec.event_kind == "routed-token-send":
-                parts[1].append(RoutedToken.from_record(rec.body, addresses))
-        except (KeyError, TypeError, ValueError) as exc:  # a field missing, extra or of a bad type or value
-            raise CorruptLogError(f"offset {rec.offset}: {rec.event_kind} body is not a token: {exc!r}") from None
+    for pid, (locals_, sends, receives) in found.items():
+        for rec in log.policy_records(pid):
+            try:
+                if rec.event_kind == "routed-token-receive":
+                    receives[rec.body["token_id"]] = rec.logical_time
+                elif decodes is not None and not decodes(rec):
+                    continue
+                elif rec.event_kind == "local-token":
+                    locals_.append(LocalToken.from_record(rec.body, addresses))
+                elif rec.event_kind == "routed-token-send":
+                    sends.append(RoutedToken.from_record(rec.body, addresses))
+            except (KeyError, TypeError, ValueError) as exc:  # a field missing, extra or of a bad type or value
+                if corrupt is None or rec.offset < corrupt[0]:
+                    corrupt = (rec.offset, f"offset {rec.offset}: {rec.event_kind} body is not a token: {exc!r}")
+                break
+    if corrupt is not None:
+        raise CorruptLogError(corrupt[1])
     for pid in found:
-        if pid not in named:
+        if not log.policy_records(pid):
             raise UnknownPolicyError(pid)
     return {pid: PolicyView(pid, *parts) for pid, parts in found.items()}
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policyprov.errors import UnknownPolicyError
+from policyprov.errors import CorruptLogError, UnknownPolicyError
 from policyprov.model import Address, LocalToken, TokenKind
+from policyprov.reconstruct import query
 from policyprov.storage import EventLog
 from policyprov.view import view_of, views_of
 
@@ -143,3 +144,40 @@ def test_unknown_policy_raises():
     log = log_of([make_local()], {})
     with pytest.raises(UnknownPolicyError):
         views_of(log, ["pol-1", "pol-9"])
+
+
+def _corrupt(token) -> dict:
+    """A token record that does not decode: its task_description is missing."""
+    body = token.to_record()
+    del body["task_description"]
+    return body
+
+
+def corrupt_two_policy_log() -> EventLog:
+    """pol-1 and pol-2 each hold one corrupt local token, pol-2's at offset 1
+    and pol-1's, the policy listed first, later, at offset 3."""
+    log = EventLog()
+    log.append("local-token", make_local(token_id="t-1", policy_id="pol-1").to_record(), 1)
+    log.append("local-token", _corrupt(make_local(token_id="t-2", policy_id="pol-2")), 2)
+    log.append("local-token", make_local(token_id="t-3", policy_id="pol-2", timestamp=3).to_record(), 3)
+    log.append("local-token", _corrupt(make_local(token_id="t-4", policy_id="pol-1", timestamp=4)), 4)
+    return log
+
+
+@pytest.mark.parametrize("wanted", [["pol-1", "pol-2"], ["pol-2", "pol-1"], ["pol-1", "pol-9", "pol-2"],
+                                    ["pol-9", "pol-1", "pol-2"]])
+def test_the_corrupt_record_named_is_the_lowest_offset_of_the_wanted_policies(wanted):
+    with pytest.raises(CorruptLogError, match="^offset 1: local-token body is not a token"):
+        views_of(corrupt_two_policy_log(), wanted)
+
+
+def test_query_names_the_lowest_corrupt_offset_of_its_policies():
+    # Every record is in the agenda-setting phase, so the query decodes all four.
+    with pytest.raises(CorruptLogError, match="^offset 1: local-token body is not a token"):
+        query(corrupt_two_policy_log(), phase_id="agenda-setting")
+
+
+@pytest.mark.parametrize("wanted", [["pol-1", "pol-9"], ["pol-9", "pol-1"]])
+def test_a_corrupt_record_raises_before_an_unknown_policy(wanted):
+    with pytest.raises(CorruptLogError, match="^offset 3: local-token body is not a token"):
+        views_of(corrupt_two_policy_log(), wanted)

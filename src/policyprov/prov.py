@@ -43,8 +43,6 @@ class ProvDocument:
     was_derived_from: dict = field(default_factory=dict)  # (generated, source)
     # entity -> its one generator, written together with was_generated_by.
     _generator: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (policy, artifact name) -> entity id, each formed once per document.
-    _entity_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def generated_by(self, entity_id: str, activity_id: str) -> bool:
         """At most one generator per entity; the first one wins."""
@@ -56,13 +54,6 @@ class ProvDocument:
 
     def generator_of(self, entity_id: str) -> Optional[str]:
         return self._generator.get(entity_id)
-
-    def entity_id(self, policy_id: str, name: str) -> str:
-        key = (policy_id, name)
-        entity_id = self._entity_ids.get(key)
-        if entity_id is None:
-            entity_id = self._entity_ids[key] = entity_id_for(policy_id, name)
-        return entity_id
 
     def agent(self, address: Address) -> tuple:
         """The agent's id and attribute dict, the dict made on first sight."""
@@ -107,13 +98,13 @@ def _add_local(doc: ProvDocument, token: LocalToken, view: PolicyView):
     agent_id, agent = doc.agent(token.who_carried_out)
     agent["nature_of_stakeholders"] = token.nature_of_stakeholders.value
     doc.was_associated_with[act_id, agent_id] = None
-    in_id = doc.entity_id(token.policy_id, token.task_input)
+    in_id = entity_id_for(token.policy_id, token.task_input)
     attrs = {"label": token.task_input, "nature": token.nature_of_task_input.value}
     if doc.generator_of(in_id) is None:
         attrs["external_origin"] = True
     _merge(doc.entities, in_id, attrs)
     doc.used[act_id, in_id] = None
-    out_id = doc.entity_id(token.policy_id, token.task_output)
+    out_id = entity_id_for(token.policy_id, token.task_output)
     attrs = {
         "label": token.task_output,
         "nature": token.nature_of_task_output.value,

@@ -5,12 +5,22 @@ receipt lands here, and all downstream state is a fold over it. On-disk form
 is UTF-8 JSON Lines, one record per line; the data store is a directory of
 files named by payload hash.
 
+A line is `{"body":B,"event_kind":"K","logical_time":T,"offset":N}` and a
+newline: its four keys in sorted order, no spaces, ASCII only, B the body as
+`_ENCODER` writes it, T and N plain ints. `_tail` writes everything after B;
+`EventLog.append` writes the line with it, `EventRecord.to_json` is the line
+without its newline, and `EventLog.load` finds a send line's tail with it
+and a receive line's with `_RECEIVE_TAIL`, which is compiled from it.
+Logs stay readable: a field added to a record is optional on read, with a
+stated default, and an event kind is never renamed or removed.
+
 Besides every record in offset order, the log keeps each `policy_id`'s
 records and the goal records (`GOAL_KINDS`), each list in offset order and
-filled as a record is kept. `scan` with a `policy_id` walks that policy's
-list, and with none every record; `policy_records` and `goal_records` hand
-out the lists that `view.views_of` and `goals.fold_goal_state` walk, and
-`policy_ids` of a whole log reads the policies' keys.
+filled by `EventLog._keep`, the one way `append` and `load` keep a record.
+`scan` with a `policy_id` walks that policy's list, and with none every
+record; `policy_records` and `goal_records` hand out the lists that
+`view.views_of` and `goals.fold_goal_state` walk, and `policy_ids` of a
+whole log reads the policies' keys.
 """
 
 from __future__ import annotations
@@ -67,21 +77,25 @@ _TOKEN_HEADS = {
     )
     for cls in (LocalToken, RoutedToken)
 }
-# Each kind's part of a line between the body and the logical time. A line is
-# `{"body":…,"event_kind":"…","logical_time":N,"offset":N}`, its keys in sorted
-# order, as `EventRecord.to_json` writes it.
+# Each kind's part of a line between the body and the logical time.
 _KIND_TEXT = {kind: f',"event_kind":"{kind}","logical_time":' for kind in EVENT_KINDS}
+
+
+def _tail(event_kind: str, logical_time: int, offset: int) -> str:
+    """A line's text after its body, up to its newline."""
+    return f'{_KIND_TEXT[event_kind]}{logical_time},"offset":{offset}}}'
+
+
 # Each kind, mapped to itself: one lookup both checks a kind and interns it.
 _KINDS = {kind: kind for kind in EVENT_KINDS}
 # One decoder for every line `load` reads.
 _DECODE = json.JSONDecoder().raw_decode
-# A send line's envelope tail starts with this; see `EventLog.load`.
-_SEND_TEXT = _KIND_TEXT["routed-token-send"].encode("ascii")
-# What a delivery's line holds after its send's head: the receive envelope,
-# with a logical time and an offset each a plain JSON int of at most 18 digits.
-_INT = rb"(-?(?:0|[1-9][0-9]{0,17}))"
+# What a delivery's line holds after its send's head: a receive tail as
+# `_tail` writes it, its logical time (T) and offset (O) each a plain JSON int
+# of at most 18 digits.
+_INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
 _RECEIVE_TAIL = re.compile(
-    re.escape(_KIND_TEXT["routed-token-receive"].encode("ascii")) + _INT + rb',"offset":' + _INT + rb"\}"
+    re.escape(_tail("routed-token-receive", "T", "O")).replace("T", _INT).replace("O", _INT).encode("ascii")
 )
 # The types of a flat body's values: a copy of such a body shares no mutable object.
 _FLAT = frozenset((type(None), bool, int, float, str))
@@ -106,30 +120,12 @@ class EventRecord:
     body: dict
 
     def to_json(self) -> str:
-        return _ENCODER.encode(
-            {
-                "offset": self.offset,
-                "event_kind": self.event_kind,
-                "logical_time": self.logical_time,
-                "body": self.body,
-            }
-        )
+        return '{"body":' + _ENCODER.encode(self.body) + _tail(self.event_kind, self.logical_time, self.offset)
 
 
 _SET_OFFSET, _SET_KIND, _SET_TIME, _SET_BODY = (
     EventRecord.__dict__[name].__set__ for name in ("offset", "event_kind", "logical_time", "body")
 )
-
-
-def _event_record(offset: int, event_kind: str, logical_time: int, body: dict) -> EventRecord:
-    """An `EventRecord` of checked values, its four slots set directly: the
-    frozen `__init__` would set each through `object.__setattr__`."""
-    record = object.__new__(EventRecord)
-    _SET_OFFSET(record, offset)
-    _SET_KIND(record, event_kind)
-    _SET_TIME(record, logical_time)
-    _SET_BODY(record, body)
-    return record
 
 
 def record_text(cls, rec: dict) -> str:
@@ -181,27 +177,16 @@ class EventLog:
         self._now += 1
         return self._now
 
-    def append(self, event_kind: str, body: dict, logical_time: int, text: Optional[str] = None) -> int:
-        """Append a record and return its offset. `text`, when given, is the
-        body's JSON as `_ENCODER` writes it, and is written as it is. A record
-        `load` would refuse is not kept: an unknown kind raises `ValueError`,
-        and a logical time that is not an int, a body that is not a dict or a
-        `policy_id` that is not text raise `TypeError`. Time order is checked
-        by `load` alone."""
-        kind_text = _KIND_TEXT.get(event_kind)
-        if kind_text is None:
-            raise ValueError(f"unknown event kind: {event_kind}")
-        if type(logical_time) is not int:
-            raise TypeError(f"logical_time {logical_time!r} is not an integer")
-        if not isinstance(body, dict):
-            raise TypeError(f"body {body!r} is not a dict")
-        policy_id = body.get("policy_id", _NO_POLICY)
-        if type(policy_id) is not str and policy_id is not _NO_POLICY:
-            raise TypeError(f"policy_id {policy_id!r} is not text")
-        if self._fh is not None and text is None:
-            text = _ENCODER.encode(body)  # first, so that a body it refuses is not kept
-        offset = len(self._records)
-        record = _event_record(offset, event_kind, logical_time, body)
+    def _keep(self, offset: int, event_kind: str, logical_time: int, body: dict, policy_id) -> None:
+        """Keep a record of checked values: in the log, in its policy's list
+        unless `policy_id` is `_NO_POLICY`, and in the goal list if its kind
+        is a goal kind. Its four slots are set directly: the frozen
+        `__init__` would set each through `object.__setattr__`."""
+        record = object.__new__(EventRecord)
+        _SET_OFFSET(record, offset)
+        _SET_KIND(record, event_kind)
+        _SET_TIME(record, logical_time)
+        _SET_BODY(record, body)
         self._records.append(record)
         if policy_id is not _NO_POLICY:
             own = self._by_policy.get(policy_id)
@@ -211,13 +196,35 @@ class EventLog:
                 own.append(record)
         if event_kind in GOAL_KINDS:
             self._goal_records.append(record)
+
+    def append(self, event_kind: str, body: dict, logical_time: int, text: Optional[str] = None) -> int:
+        """Append a record and return its offset. `text`, when given, is the
+        body's JSON as `_ENCODER` writes it, and is written as it is. A record
+        `load` would refuse is not kept: an unknown kind raises `ValueError`,
+        and a logical time that is not an int, a body that is not a dict or
+        that `_ENCODER` refuses, or a `policy_id` that is not text raise
+        `TypeError`. Time order is checked by `load` alone. A log without a
+        file refuses, keeps and hashes as one with a file, which writes and
+        flushes the line it hashes."""
+        if event_kind not in _KINDS:
+            raise ValueError(f"unknown event kind: {event_kind}")
+        if type(logical_time) is not int:
+            raise TypeError(f"logical_time {logical_time!r} is not an integer")
+        if not isinstance(body, dict):
+            raise TypeError(f"body {body!r} is not a dict")
+        policy_id = body.get("policy_id", _NO_POLICY)
+        if type(policy_id) is not str and policy_id is not _NO_POLICY:
+            raise TypeError(f"policy_id {policy_id!r} is not text")
+        if text is None:
+            text = _ENCODER.encode(body)  # first, so that a body it refuses is not kept
+        offset = len(self._records)
+        line = f'{{"body":{text}{_tail(event_kind, logical_time, offset)}\n'.encode("utf-8")
+        self._keep(offset, event_kind, logical_time, body, policy_id)
         if self._fh is not None:
-            # The file is only ever opened in __init__, so every earlier
-            # record was hashed here too. The flush makes each record durable
-            # once append returns.
-            line = f'{{"body":{text}{kind_text}{logical_time},"offset":{offset}}}\n'.encode("utf-8")
+            # The flush makes each record durable once append returns.
             self._fh.write(line)
             self._fh.flush()
+        if self._hashed == offset:  # else `content_hash` hashes the records `load` read first
             self._digest.update(line)
             self._hashed += 1
         return offset
@@ -233,16 +240,16 @@ class EventLog:
     ) -> list[EventRecord]:
         """Exact-match conjunction over the filters, in offset order. With a
         `policy_id` it walks that policy's records, and with none every
-        record; `offset_range` (inclusive) is a slice of those, as offsets
-        are dense from 0. Each other filter is one pass, the actor's last."""
+        record. `offset_range` `(lo, hi)` keeps the records whose offset o
+        has lo <= o <= hi, whatever numbers lo and hi are (ints or floats,
+        negative, past the end or with hi < lo); it is a slice of those
+        records, found by `bisect`. Each other filter is one pass, the
+        actor's last."""
         base = self._records if policy_id is None else self._by_policy.get(policy_id, [])
         out = base
         if offset_range is not None:
             lo, hi = offset_range
-            if policy_id is None:
-                out = base[max(lo, 0) : max(hi + 1, 0)]
-            else:
-                out = base[bisect_left(base, lo, key=_offset) : bisect_right(base, hi, key=_offset)]
+            out = base[bisect_left(base, lo, key=_offset) : bisect_right(base, hi, key=_offset)]
         if event_kind is not None:
             out = [rec for rec in out if rec.event_kind == event_kind]
         if goal_id is not None:
@@ -284,7 +291,8 @@ class EventLog:
         return self._records[offset]
 
     def content_hash(self) -> str:
-        """SHA-256 of the log's JSON Lines form; each record is hashed once."""
+        """SHA-256 of the log's JSON Lines form; each record is hashed once,
+        as `append` keeps it or, for a record `load` read, here."""
         for rec in self._records[self._hashed :]:
             self._digest.update((rec.to_json() + "\n").encode("utf-8"))
         self._hashed = len(self._records)
@@ -305,19 +313,17 @@ class EventLog:
         mid-append. The next `tick` is the last record's logical time + 1.
 
         A delivery's line is decoded once, at its send. A send line ends in
-        the envelope tail the writer writes from its kind, logical time and
-        offset; the text before that tail is its head. A later line that is
-        the last send line's head followed by a receive tail
-        (`,"event_kind":"routed-token-receive","logical_time":N,"offset":M}`,
-        N and M plain JSON ints of at most 18 digits) gets a fresh copy of
-        that send's body, when every value of that body is None, a bool, an
-        int, a float or text. This is exact: the send line was one JSON
+        the tail `_tail` writes from its kind, logical time and offset; the
+        text before that tail is its head. A later line that is the last
+        send line's head followed by a receive tail (`_RECEIVE_TAIL`) gets a
+        fresh copy of that send's body, when every value of that body is
+        None, a bool, an int, a float or text. This is exact: the send line was one JSON
         object, and the receive tail has the same token shapes as the send's,
         so that line is one JSON object too, whose body comes from the shared
         head alone. Every other line is decoded alone, and every record passes
         the same checks."""
         log = cls()
-        records, by_policy, goal_records = log._records, log._by_policy, log._goal_records
+        records, keep = log._records, log._keep
         last_time = -math.inf
         head = send_body = None  # the last send line's head, while its body is flat
         with Path(path).open("rb") as fh:
@@ -363,20 +369,11 @@ class EventLog:
                 if type(policy_id) is not str and policy_id is not _NO_POLICY:
                     raise CorruptLogError(f"line {number}: policy_id {policy_id!r} is not text")
                 last_time = logical_time
-                record = _event_record(offset, kind, logical_time, body)
-                records.append(record)
-                if policy_id is not _NO_POLICY:
-                    own = by_policy.get(policy_id)
-                    if own is None:
-                        by_policy[policy_id] = [record]
-                    else:
-                        own.append(record)
+                keep(offset, kind, logical_time, body, policy_id)
                 if kind == "routed-token-send":
-                    tail = b'%s%d,"offset":%d}' % (_SEND_TEXT, logical_time, offset)
+                    tail = _tail(kind, logical_time, offset).encode("ascii")
                     flat = text.endswith(tail) and _FLAT.issuperset(map(type, body.values()))
                     head, send_body = (text[: -len(tail)], body) if flat else (None, None)
-                elif kind in GOAL_KINDS:
-                    goal_records.append(record)
         if records:
             log._now = last_time
         return log

@@ -5,18 +5,21 @@ log; `scan`, `policy_ids`, `views_of` and `fold_goal_state` read those lists.
 Each property below compares a list or a reader with a plain loop over
 `iter(log)`, written here, on logs built by `append` (a random scenario's
 run, `two_policy_log()`, and the two interleaved with refused appends
-between) and on the same logs read back by `EventLog.load`.
+between) and on the same logs read back by `EventLog.load`. The last one
+runs the same appends, refused ones included, on a log with a file and on
+one without, and compares the two.
 """
 
 from functools import cache
+from itertools import cycle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from policyprov import load_scenario, run
 from policyprov.goals import GoalBook, fold_goal_state
-from policyprov.storage import EVENT_KINDS, EventLog, policy_ids
+from policyprov.storage import _ENCODER, EVENT_KINDS, EventLog, policy_ids
 
 from conftest import ADDRESS_KEYS, random_scenario_dict
 from test_golden import two_policy_log
@@ -139,7 +142,8 @@ def plain_fold(log, policy_id, upto) -> list:
 
 def filter_values(log) -> dict:
     """Every value of each filter the log's records hold, and some no record
-    holds; offset ranges negative, inverted, past the end and inside."""
+    holds; offset ranges negative, inverted, past the end and inside, with
+    int and with float bounds."""
     bodies = [rec.body for rec in log]
     actors = sorted({body[key] for body in bodies for key in ADDRESS_KEYS if isinstance(body.get(key), str)})
     n = len(log)
@@ -150,7 +154,9 @@ def filter_values(log) -> dict:
         "goal_id": sorted({body["goal_id"] for body in bodies if isinstance(body.get("goal_id"), str)}) + ["g-x"],
         "event_kind": list(EVENT_KINDS),
         "offset_range": [(-3, -1), (-2, 3), (-1, 0), (5, 2), (0, n + 5), (n, n + 3), (n - 1, n - 1), (3, 3),
-                         (n // 2, n - 2), (0, 0), (-(10**20), 10**20)],
+                         (n // 2, n - 2), (0, 0), (-(10**20), 10**20),
+                         (0.5, 3.5), (-0.5, n + 0.5), (n / 3, n / 2), (2.5, 2.5), (3.5, 1.5), (-1.5, -0.5),
+                         (n - 0.5, float("inf")), (-float("inf"), 0.0)],
     }
 
 
@@ -201,3 +207,36 @@ def test_fold_of_the_goal_records_equals_a_goal_book_loop_over_the_log(tmp_path_
             for upto in (None, -1, 0, 1, n // 3, n // 2, n - 1, n + 5):
                 assert [goal.to_record() for goal in fold_goal_state(log, policy_id, upto)] == plain_fold(
                     log, policy_id, upto), (policy_id, upto)
+
+
+@settings(max_examples=30, deadline=None)
+@given(picks=st.lists(st.integers(0, 1 + len(REFUSED)), max_size=40))
+@example(picks=[1 + REFUSED.index(("goal-satisfied", {"policy_id": "pol-1", "goal_id": {"g-one"}}, 1, TypeError))])
+def test_a_log_with_a_file_and_one_without_keep_refuse_and_hash_alike(tmp_path_factory, picks):
+    """The same appends, each a `two_policy_log()` record (pick 0, its body
+    encoded by the log; pick 1, its text given) or a refused one, on a log
+    without a file and on one with a file: the same offsets and refusals,
+    the same records and the same `content_hash`, which is also the loaded
+    file's."""
+    path = tmp_path_factory.mktemp("modes") / "log.jsonl"
+    logs = [EventLog(), EventLog(path)]
+    outcomes = [[], []]
+    for log, outcome in zip(logs, outcomes):
+        records = cycle(_two_policy_records())
+        for pick in picks:
+            if pick < 2:
+                rec = next(records)
+                text = _ENCODER.encode(rec.body) if pick else None
+                outcome.append(log.append(rec.event_kind, rec.body, log.tick(), text))
+                continue
+            kind, body, time, error = REFUSED[pick - 2]
+            with pytest.raises(error) as refused:
+                log.append(kind, body, time)
+            outcome.append(str(refused.value))
+    logs[1].close()
+    assert outcomes[0] == outcomes[1]
+    loaded = EventLog.load(path)
+    kept = [[(rec.offset, rec.event_kind, rec.logical_time, rec.body) for rec in log] for log in (*logs, loaded)]
+    assert kept[0] == kept[1] == kept[2]
+    assert logs[0].content_hash() == logs[1].content_hash() == loaded.content_hash()
+    assert path.read_bytes() == "".join(rec.to_json() + "\n" for rec in logs[0]).encode("utf-8")

@@ -456,10 +456,15 @@ class TestContentHash:
         assert on_disk.content_hash() == hashlib.sha256(path.read_bytes()).hexdigest()
         assert in_memory.content_hash() == loaded.content_hash() == on_disk.content_hash()
 
-    @pytest.mark.parametrize("persisted", [True, False])
-    def test_follows_appends_after_a_read(self, tmp_path, persisted):
-        log = EventLog(tmp_path / "events.jsonl" if persisted else None)
-        hashes = [log.content_hash()]
+    @pytest.mark.parametrize("start", ["memory", "file", "loaded"])
+    def test_follows_appends_after_a_read(self, tmp_path, start):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path if start == "file" else None)
+        if start == "loaded":  # a loaded log's records are hashed before those appended to it
+            log.append("receipt", {"token_id": "t", "outcome": "delivered"}, 1)
+            path.write_text(log[0].to_json() + "\n", encoding="utf-8")
+            log = EventLog.load(path)
+        hashes = [] if start == "loaded" else [log.content_hash()]
         for i in range(4):
             log.append("decision", {"policy_id": "pol-1", "n": i}, i + 1)
             if i % 2:

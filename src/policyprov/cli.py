@@ -101,7 +101,7 @@ def cmd_export(args) -> int:
     policies = policy_ids(log)
     policy_id = args.policy or (policies[0] if len(policies) == 1 else None)
     if policy_id is None:
-        print("log holds multiple policies; pass --policy", file=sys.stderr)
+        print("log holds multiple policies; pass --policy" if policies else "log names no policy", file=sys.stderr)
         return 2
     try:
         if args.prov:

@@ -286,14 +286,17 @@ class NetworkEngine:
 
     def route_external(self, token: RoutedToken) -> DeliveryReceipt:
         """Connector-to-connector handoff; exactly once per token_id. A token
-        its validator refuses raises `InvalidTokenError` before it is logged,
-        marked delivered or given a logical time."""
+        its validator refuses raises `InvalidTokenError`, and one of an
+        unknown or terminated policy `UnknownPolicyError` or
+        `TerminatedPolicyError`, as `send_token` does; each before it is
+        logged, marked delivered or given a logical time."""
         dst_net = token.destination_address.network_id
         if token.source_address.network_id == dst_net:
             raise IntraNetworkRouteError(dst_net)
         result = validate_routed_token(token)
         if not result.ok:
             raise InvalidTokenError(result.violations)
+        self._require_active(token.policy_id)
         record = token.to_record()
         return self._route(token, record, record_text(RoutedToken, record))
 

@@ -274,6 +274,9 @@ class _Runner:
         steps = 0
         time_rules = deque(self.time_rules)
         while self.pending or time_rules:
+            if not self.pending and time_rules[0].once and time_rules[0].rule_id in self.fired:
+                time_rules.popleft()  # a delivery fired this once rule already; it takes no step
+                continue
             steps += 1
             if steps > self.step_budget:
                 descriptions = [self._describe(r) for r, _ in self.pending]

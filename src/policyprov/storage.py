@@ -14,9 +14,13 @@ and a receive line's with `_RECEIVE_TAIL`, which is compiled from it.
 Logs stay readable: a field added to a record is optional on read, with a
 stated default, and an event kind is never renamed or removed.
 
-Besides every record in offset order, the log keeps each `policy_id`'s
-records and the goal records (`GOAL_KINDS`), each list in offset order and
-filled by `EventLog._keep`, the one way `append` and `load` keep a record.
+Every record `append` makes and every line `load` reads passes one rule,
+`EventLog._keep`: a known kind, an int logical time no earlier than the last
+record's, a dict body, and a `policy_id` that is text or absent. `_keep`
+files it in the log, in its `policy_id`'s list and, for a goal kind
+(`GOAL_KINDS`), in the goal list, each in offset order. The log is the one
+clock: `_keep` raises it to each kept record's time, so `tick` never issues
+a time before the last record's.
 `scan` with a `policy_id` walks that policy's list, and with none every
 record; `policy_records` and `goal_records` hand out the lists that
 `view.views_of` and `goals.fold_goal_state` walk, and `policy_ids` of a
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -177,49 +180,59 @@ class EventLog:
         self._now += 1
         return self._now
 
-    def _keep(self, offset: int, event_kind: str, logical_time: int, body: dict, policy_id) -> None:
-        """Keep a record of checked values: in the log, in its policy's list
-        unless `policy_id` is `_NO_POLICY`, and in the goal list if its kind
-        is a goal kind. Its four slots are set directly: the frozen
-        `__init__` would set each through `object.__setattr__`."""
-        record = object.__new__(EventRecord)
+    def _keep(self, offset: int, event_kind, logical_time, body) -> str:
+        """The one record rule, for `append` and `load`: an unknown kind or a
+        logical time before the last record's raises `ValueError`, and a
+        logical time that is not an int, a body that is not a dict or a
+        `policy_id` that is not text raises `TypeError`. Else the record is
+        kept in the log, its policy's list and, for a goal kind, the goal
+        list, the clock is raised to its time and its kind is returned,
+        interned."""
+        kind = _KINDS.get(event_kind) if type(event_kind) is str else None
+        if kind is None:
+            raise ValueError(f"unknown event kind {event_kind!r}")
+        if type(logical_time) is not int:
+            raise TypeError(f"logical_time {logical_time!r} is not an integer")
+        if not isinstance(body, dict):
+            raise TypeError(f"body {body!r} is not a dict")
+        # Every reader groups records by policy_id, so it must be text.
+        policy_id = body.get("policy_id", _NO_POLICY)
+        if type(policy_id) is not str and policy_id is not _NO_POLICY:
+            raise TypeError(f"policy_id {policy_id!r} is not text")
+        records = self._records
+        # The clock is never behind the last record: only a time before it may be out of order.
+        if logical_time >= self._now:
+            self._now = logical_time
+        elif records and logical_time < records[-1].logical_time:
+            raise ValueError(f"logical_time {logical_time} is before {records[-1].logical_time}")
+        record = object.__new__(EventRecord)  # the frozen `__init__` sets each slot by `object.__setattr__`
         _SET_OFFSET(record, offset)
-        _SET_KIND(record, event_kind)
+        _SET_KIND(record, kind)
         _SET_TIME(record, logical_time)
         _SET_BODY(record, body)
-        self._records.append(record)
+        records.append(record)
         if policy_id is not _NO_POLICY:
             own = self._by_policy.get(policy_id)
             if own is None:
                 self._by_policy[policy_id] = [record]
             else:
                 own.append(record)
-        if event_kind in GOAL_KINDS:
+        if kind in GOAL_KINDS:
             self._goal_records.append(record)
+        return kind
 
     def append(self, event_kind: str, body: dict, logical_time: int, text: Optional[str] = None) -> int:
         """Append a record and return its offset. `text`, when given, is the
-        body's JSON as `_ENCODER` writes it, and is written as it is. A record
-        `load` would refuse is not kept: an unknown kind raises `ValueError`,
-        and a logical time that is not an int, a body that is not a dict or
-        that `_ENCODER` refuses, or a `policy_id` that is not text raise
-        `TypeError`. Time order is checked by `load` alone. A log without a
-        file refuses, keeps and hashes as one with a file, which writes and
-        flushes the line it hashes."""
-        if event_kind not in _KINDS:
-            raise ValueError(f"unknown event kind: {event_kind}")
-        if type(logical_time) is not int:
-            raise TypeError(f"logical_time {logical_time!r} is not an integer")
-        if not isinstance(body, dict):
-            raise TypeError(f"body {body!r} is not a dict")
-        policy_id = body.get("policy_id", _NO_POLICY)
-        if type(policy_id) is not str and policy_id is not _NO_POLICY:
-            raise TypeError(f"policy_id {policy_id!r} is not text")
+        body's JSON as `_ENCODER` writes it, and is written as it is. A body
+        `_ENCODER` refuses raises `TypeError`, and a record `_keep` refuses
+        raises its error; neither is kept. A log without a file keeps and
+        hashes as one with a file, which writes and flushes the line it
+        hashes."""
         if text is None:
             text = _ENCODER.encode(body)  # first, so that a body it refuses is not kept
         offset = len(self._records)
-        line = f'{{"body":{text}{_tail(event_kind, logical_time, offset)}\n'.encode("utf-8")
-        self._keep(offset, event_kind, logical_time, body, policy_id)
+        kind = self._keep(offset, event_kind, logical_time, body)
+        line = f'{{"body":{text}{_tail(kind, logical_time, offset)}\n'.encode("utf-8")
         if self._fh is not None:
             # The flush makes each record durable once append returns.
             self._fh.write(line)
@@ -305,12 +318,12 @@ class EventLog:
 
     @classmethod
     def load(cls, path) -> "EventLog":
-        """Read a JSON Lines log. A line that is not a record raises
-        `CorruptLogError` naming it, and so does a record whose offset is not
-        its index, whose logical time is not an int or is before the previous
-        record's, or whose `policy_id` is there and not text. A last line with
-        no newline that is not JSON raises `TornLogError`: the writer stopped
-        mid-append. The next `tick` is the last record's logical time + 1.
+        """Read a JSON Lines log. A line that is not a JSON object with the
+        four keys raises `CorruptLogError` naming it, and so does a record
+        whose offset is not its index or that `_keep` refuses. A last line
+        with no newline that is not JSON raises `TornLogError`: the writer
+        stopped mid-append. The next `tick` is the last record's logical time
+        + 1.
 
         A delivery's line is decoded once, at its send. A send line ends in
         the tail `_tail` writes from its kind, logical time and offset; the
@@ -324,7 +337,6 @@ class EventLog:
         the same checks."""
         log = cls()
         records, keep = log._records, log._keep
-        last_time = -math.inf
         head = send_body = None  # the last send line's head, while its body is flat
         with Path(path).open("rb") as fh:
             for number, line in enumerate(fh, 1):
@@ -353,29 +365,16 @@ class EventLog:
                         raise CorruptLogError(
                             f"line {number}: not a JSON object with offset, event_kind, logical_time and body"
                         ) from None
-                if not isinstance(body, dict):
-                    raise CorruptLogError(f"line {number}: body is not a JSON object")
-                kind = _KINDS.get(event_kind) if type(event_kind) is str else None
-                if kind is None:
-                    raise CorruptLogError(f"line {number}: unknown event kind {event_kind!r}")
                 if offset != len(records) or type(offset) is not int:
                     raise CorruptLogError(f"line {number}: offset {offset!r} is not {len(records)}")
-                if type(logical_time) is not int:
-                    raise CorruptLogError(f"line {number}: logical_time {logical_time!r} is not an integer")
-                if logical_time < last_time:
-                    raise CorruptLogError(f"line {number}: logical_time {logical_time} is before {last_time}")
-                # Every reader groups records by policy_id, so it must be text.
-                policy_id = body.get("policy_id", _NO_POLICY)
-                if type(policy_id) is not str and policy_id is not _NO_POLICY:
-                    raise CorruptLogError(f"line {number}: policy_id {policy_id!r} is not text")
-                last_time = logical_time
-                keep(offset, kind, logical_time, body, policy_id)
+                try:
+                    kind = keep(offset, event_kind, logical_time, body)
+                except (ValueError, TypeError) as exc:
+                    raise CorruptLogError(f"line {number}: {exc}") from None
                 if kind == "routed-token-send":
                     tail = _tail(kind, logical_time, offset).encode("ascii")
                     flat = text.endswith(tail) and _FLAT.issuperset(map(type, body.values()))
                     head, send_body = (text[: -len(tail)], body) if flat else (None, None)
-        if records:
-            log._now = last_time
         return log
 
 

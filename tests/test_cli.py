@@ -409,8 +409,28 @@ class TestExport:
             system.notify_new_policy(record, Address("n", "o"))
         system.close()
         assert main(["export", str(log_path), "--prov", "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "log holds multiple policies; pass --policy\n"
+        assert not (tmp_path / "x").exists()
         assert main(["export", str(log_path), "--prov", "--policy", "pol-2",
                      "-o", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize("kind", ["--prov", "--graph"])
+    @pytest.mark.parametrize("text", [
+        "", '{"body":{"outcome":"delivered","token_id":"t"},"event_kind":"receipt","logical_time":1,"offset":0}\n',
+    ], ids=["empty", "no-policy-id"])
+    def test_log_that_names_no_policy_exits_2(self, tmp_path, capsys, kind, text):
+        log_path, out = tmp_path / "events.jsonl", tmp_path / "x"
+        log_path.write_text(text)
+        assert main(["export", str(log_path), kind, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "log names no policy\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["--prov", "--graph"])
+    def test_output_that_cannot_be_written_exits_2(self, run_dir, tmp_path, capsys, kind):
+        out = tmp_path / "no-such-dir" / "x"
+        assert main(["export", str(run_dir / "events.jsonl"), kind, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("kind", ["--prov", "--graph"])
     def test_unknown_policy_exits_2(self, run_dir, tmp_path, capsys, kind):

@@ -424,23 +424,33 @@ class TestRouting:
                      if r.body["token_id"] == "t-fresh"]
         assert receive.body == fresh.to_record()
 
-    @pytest.mark.parametrize("spoil", [{"seq_num": True}, {"task_description": 5}, {"policy_id": 5}],
-                             ids=["bool-int", "int-text", "int-policy-id"])
-    def test_connector_refuses_an_invalid_token_before_any_state_changes(self, tmp_path, spoil):
+    @pytest.mark.parametrize("spoil, error", [
+        ({"seq_num": True}, InvalidTokenError),
+        ({"task_description": 5}, InvalidTokenError),
+        ({"policy_id": 5}, InvalidTokenError),
+        ({"policy_id": "pol-2"}, TerminatedPolicyError),
+        ({"policy_id": "pol-99"}, UnknownPolicyError),
+    ], ids=["bool-int", "int-text", "int-policy-id", "terminated-policy", "unknown-policy"])
+    def test_connector_refuses_an_invalid_token_before_any_state_changes(self, tmp_path, spoil, error):
         """A token from outside the engine that its validator refuses raises
-        InvalidTokenError and leaves no trace: it is not marked delivered, no
-        record is kept or written and no logical time is taken, so the valid
-        token with the same id is then delivered."""
+        InvalidTokenError, and one of a terminated policy (pol-2) or of a
+        policy never opened raises as `send_token` would. Either leaves no
+        trace: it is not marked delivered, no record is kept or written and
+        no logical time is taken, so the valid token with the same id is then
+        delivered."""
         path = tmp_path / "events.jsonl"
         system = make_system(log_path=path)
         policy = open_policy(system)
         define_default_goal(system, policy)
+        ended = open_policy(system, payload=b"another idea")
+        system.decide_continuation(ended.policy_id, "terminate", by=OWNER)
+        assert ended.policy_id == "pol-2"
         token, _ = system.send_token(SNT, policy.policy_id, destination=COMMUNITY,
                                      previous_task="t", previous_task_output="o",
                                      task_description="d")
         fresh = replace(token, token_id="t-fresh")
         logged, written, now = len(system.log), path.read_bytes(), system.log.tick()
-        with pytest.raises(InvalidTokenError):
+        with pytest.raises(error):
             system.route_external(replace(fresh, **spoil))
         assert (len(system.log), path.read_bytes(), system.log.tick()) == (logged, written, now + 1)
         assert "t-fresh" not in system._delivered

@@ -24,8 +24,9 @@ from test_model import make_local, make_routed
 
 
 class TestFragmentMapping:
-    def test_local_token_fragment(self):
-        token = make_local()
+    @pytest.mark.parametrize("data_reference", [None, "d-1"])
+    def test_local_token_fragment(self, data_reference):
+        token = make_local(data_reference=data_reference)
         doc = token_to_prov_fragment(token)
         act_id = activity_id_for(token)
         assert act_id == "act:pol-1/net/1"
@@ -33,6 +34,9 @@ class TestFragmentMapping:
         assert doc.agents["agt:net/alice"]["actor"] == "alice"
         in_id = entity_id_for("pol-1", "report")
         out_id = entity_id_for("pol-1", "analysis")
+        # A data reference, when the token has one, is on its activity and its output alone.
+        assert doc.activities[act_id].get("data_reference") == doc.entities[out_id].get("data_reference") == data_reference
+        assert "data_reference" not in doc.entities[in_id]
         assert (act_id, in_id) in doc.used
         assert (out_id, act_id) in doc.was_generated_by
         assert (act_id, "agt:net/alice") in doc.was_associated_with

@@ -90,13 +90,17 @@ class TestGraphShape:
         with pytest.raises(UnknownPolicyError):
             reconstruct_process(system.log, "pol-9")
 
-    def test_actor_chain_collapses_shared_endpoints(self):
+    @pytest.mark.parametrize("sender, chain", [
+        (BCU, ["safer-neighbourhood-team", "business-control-unit", "neighbourhood-watch-team"]),
+        (SNT, ["safer-neighbourhood-team", "business-control-unit", "safer-neighbourhood-team",
+               "neighbourhood-watch-team"]),
+    ], ids=["shared-endpoint", "new-start"])
+    def test_actor_chain_collapses_shared_endpoints(self, sender, chain):
+        """The second handoff starts where the first ended, or elsewhere."""
         system, policy = simple_run()
-        handoff(system, BCU, policy.policy_id, NWT, task="review")
+        handoff(system, sender, policy.policy_id, NWT, task="review")
         graph = reconstruct_process(system.log, policy.policy_id)
-        assert graph.actor_chain() == [
-            "safer-neighbourhood-team", "business-control-unit", "neighbourhood-watch-team",
-        ]
+        assert graph.actor_chain() == chain
 
 
 class TestPatternRules:

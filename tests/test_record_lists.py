@@ -28,7 +28,8 @@ GOAL_KINDS = ("goal-defined", "goal-modified", "metric-satisfied", "goal-satisfi
 
 # Appends the log refuses, each before it keeps anything: an unknown kind, a
 # null or int policy_id, a body that is not a dict, a body the encoder
-# refuses and a logical time that is not an int.
+# refuses, a logical time that is not an int and, once the log holds a
+# record (every one is kept at time 1 or later), a logical time before it.
 REFUSED = (
     ("bogus-kind", {"policy_id": "pol-1"}, 1, ValueError),
     ("decision", {"policy_id": None}, 1, TypeError),
@@ -36,7 +37,20 @@ REFUSED = (
     ("local-token", ["policy_id"], 1, TypeError),
     ("goal-satisfied", {"policy_id": "pol-1", "goal_id": {"g-one"}}, 1, TypeError),
     ("decision", {"policy_id": "pol-1"}, "1", TypeError),
+    ("decision", {"policy_id": "pol-1"}, 0, ValueError),
 )
+TIME_GOES_BACK = REFUSED[-1]
+
+
+def refuse(log, refused) -> str:
+    """Append a `REFUSED` entry, which must raise its error; its message,
+    or "" for a time-goes-back append to a log with no record to go back from."""
+    kind, body, time, error = refused
+    if refused is TIME_GOES_BACK and len(log) == 0:
+        return ""
+    with pytest.raises(error) as caught:
+        log.append(kind, body, time)
+    return str(caught.value)
 
 
 @cache
@@ -79,9 +93,7 @@ def _merged(seed_records, picks, directory):
         if pick == 2:
             log.append("goal-modified", _renamed(version), log.tick())
             continue
-        kind, body, time, error = REFUSED[pick - 3]
-        with pytest.raises(error):
-            log.append(kind, body, time)
+        refuse(log, REFUSED[pick - 3])
     for pick, rest in enumerate(sources):
         for rec in rest:
             log.append(rec.event_kind, _relabelled(rec.body) if pick == 0 else rec.body, log.tick())
@@ -212,6 +224,7 @@ def test_fold_of_the_goal_records_equals_a_goal_book_loop_over_the_log(tmp_path_
 @settings(max_examples=30, deadline=None)
 @given(picks=st.lists(st.integers(0, 1 + len(REFUSED)), max_size=40))
 @example(picks=[1 + REFUSED.index(("goal-satisfied", {"policy_id": "pol-1", "goal_id": {"g-one"}}, 1, TypeError))])
+@example(picks=[0, 2 + REFUSED.index(TIME_GOES_BACK)])
 def test_a_log_with_a_file_and_one_without_keep_refuse_and_hash_alike(tmp_path_factory, picks):
     """The same appends, each a `two_policy_log()` record (pick 0, its body
     encoded by the log; pick 1, its text given) or a refused one, on a log
@@ -229,10 +242,7 @@ def test_a_log_with_a_file_and_one_without_keep_refuse_and_hash_alike(tmp_path_f
                 text = _ENCODER.encode(rec.body) if pick else None
                 outcome.append(log.append(rec.event_kind, rec.body, log.tick(), text))
                 continue
-            kind, body, time, error = REFUSED[pick - 2]
-            with pytest.raises(error) as refused:
-                log.append(kind, body, time)
-            outcome.append(str(refused.value))
+            outcome.append(refuse(log, REFUSED[pick - 2]))
     logs[1].close()
     assert outcomes[0] == outcomes[1]
     loaded = EventLog.load(path)

@@ -303,6 +303,23 @@ class TestScheduler:
         assert [(rule.rule_id, token) for rule, token in runner.pending] == oracle_pending(scenario, tokens)
 
 
+@pytest.mark.parametrize("at_time", [0, 50])
+def test_once_rule_with_a_receive_and_a_time_trigger_fires_once(at_time):
+    """A `once` rule fires at most once, whichever of its two triggers comes:
+    here alpha's task arrives before either time, so the time passes unused
+    and takes no step. Seven rules fire: two submissions, the owner's two
+    answers, the two submitters' reports and this one."""
+    raw = two_policy_scenario_dict()
+    raw["behaviors"][0]["rules"].append({
+        "trigger": {"at_time": at_time, "on_receive": {}},
+        "actions": [{"do": "local_token", "task": "note", "task_input": "brief", "task_output": "memo",
+                     "task_description": "note it", "source_of_evidence": "brief"}],
+        "once": True,
+    })
+    log = run(load_scenario(raw), step_budget=7).log
+    assert [rec.body["task"] for rec in log.scan(event_kind="local-token")].count("note") == 1
+
+
 def with_owner_timer(raw: dict, at_time: int, **trigger) -> dict:
     """`raw` (two_policy_scenario_dict) plus an owner rule at `at_time` that decides "continue"."""
     raw["behaviors"][2]["rules"].append(

@@ -80,7 +80,7 @@ class TestEventLog:
         log.append("decision", {"policy_id": "pol-1"}, 3)
         log.append("decision", {"policy_id": "pol-1"}, 7)
         log.close()
-        assert EventLog.load(path).tick() == 8
+        assert log.tick() == EventLog.load(path).tick() == 8  # the clock follows the records either way
         empty = tmp_path / "empty.jsonl"
         empty.touch()
         assert EventLog.load(empty).tick() == 1
@@ -202,20 +202,21 @@ class TestEventLog:
         assert hashlib.sha256(data).hexdigest() == log.content_hash()
         log.close()
 
-    @pytest.mark.parametrize("time, body, message", [
-        (1.5, {"policy_id": "pol-1"}, "logical_time 1.5 is not an integer"),
-        (True, {"policy_id": "pol-1"}, "logical_time True is not an integer"),
-        (2, [1], r"body \[1\] is not a dict"),
-        (2, {"policy_id": 7}, "policy_id 7 is not text"),
-    ], ids=["float-time", "bool-time", "list-body", "int-policy-id"])
-    def test_record_load_would_refuse_is_not_appended(self, tmp_path, time, body, message):
+    @pytest.mark.parametrize("time, body, error, message", [
+        (1.5, {"policy_id": "pol-1"}, TypeError, "logical_time 1.5 is not an integer"),
+        (True, {"policy_id": "pol-1"}, TypeError, "logical_time True is not an integer"),
+        (2, [1], TypeError, r"body \[1\] is not a dict"),
+        (2, {"policy_id": 7}, TypeError, "policy_id 7 is not text"),
+        (0, {"policy_id": "pol-1"}, ValueError, "logical_time 0 is before 1"),
+    ], ids=["float-time", "bool-time", "list-body", "int-policy-id", "time-goes-back"])
+    def test_record_load_would_refuse_is_not_appended(self, tmp_path, time, body, error, message):
         path = tmp_path / "events.jsonl"
         log = EventLog(path)
         log.append("decision", {"policy_id": "pol-1"}, 1)
         data, digest = path.read_bytes(), log.content_hash()
-        with pytest.raises(TypeError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{message}$"):
             log.append("decision", body, time)
-        assert (path.read_bytes(), log.content_hash(), len(log)) == (data, digest, 1)
+        assert (path.read_bytes(), log.content_hash(), len(log), log.tick()) == (data, digest, 1, 2)
         log.append("decision", {"policy_id": "pol-1"}, 2)
         log.close()
         assert [rec.to_json() for rec in EventLog.load(path)] == [rec.to_json() for rec in log]

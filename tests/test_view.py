@@ -1,5 +1,7 @@
 """PolicyView lookups against linear-scan definitions, on random actor timelines."""
 
+from operator import attrgetter, itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,15 +40,20 @@ def timelines(draw):
 
 
 def log_of(events, arrivals, policy_id="pol-1") -> EventLog:
-    log = EventLog()
+    """The policy's log in time order, as the log requires: its creation at 0,
+    each token at its timestamp and each arrival at its time, a send before
+    its receive."""
+    entries = [(0, "decision", {"policy_id": policy_id, "decision": "policy-created"})]
     for token in events:
         kind = "local-token" if isinstance(token, LocalToken) else "routed-token-send"
-        log.append(kind, {**token.to_record(), "policy_id": policy_id}, token.timestamp)
+        entries.append((token.timestamp, kind, {**token.to_record(), "policy_id": policy_id}))
     for token in events:
         if token.token_id in arrivals:
-            log.append("routed-token-receive", {**token.to_record(), "policy_id": policy_id},
-                       arrivals[token.token_id])
-    log.append("decision", {"policy_id": policy_id, "decision": "policy-created"}, 0)
+            entries.append((arrivals[token.token_id], "routed-token-receive",
+                            {**token.to_record(), "policy_id": policy_id}))
+    log = EventLog()
+    for time, kind, body in sorted(entries, key=itemgetter(0)):
+        log.append(kind, body, time)
     return log
 
 
@@ -130,8 +137,8 @@ def test_next_activity(timeline, after):
 @settings(max_examples=50, deadline=None)
 @given(timelines(), timelines())
 def test_one_pass_views_equal_separate_views(first, second):
-    log = log_of(*first)
-    for rec in log_of(*second, policy_id="pol-2"):
+    log = EventLog()
+    for rec in sorted([*log_of(*first), *log_of(*second, policy_id="pol-2")], key=attrgetter("logical_time")):
         log.append(rec.event_kind, rec.body, rec.logical_time)
     together = views_of(log, ["pol-1", "pol-2"])
     for pid in ("pol-1", "pol-2"):

@@ -286,13 +286,13 @@ class NetworkEngine:
 
     def route_external(self, token: RoutedToken) -> DeliveryReceipt:
         """Connector-to-connector handoff; exactly once per token_id. A token
-        its validator refuses raises `InvalidTokenError`, and one of an
-        unknown or terminated policy `UnknownPolicyError` or
-        `TerminatedPolicyError`, as `send_token` does; each before it is
-        logged, marked delivered or given a logical time."""
-        dst_net = token.destination_address.network_id
-        if token.source_address.network_id == dst_net:
-            raise IntraNetworkRouteError(dst_net)
+        its validator refuses (an address that is not an `Address` included)
+        raises `InvalidTokenError`, and one of an unknown or terminated policy
+        `UnknownPolicyError` or `TerminatedPolicyError`, as `send_token` does;
+        each before it is logged, marked delivered or given a logical time."""
+        src, dst = token.source_address, token.destination_address
+        if type(src) is type(dst) is Address and src.network_id == dst.network_id:
+            raise IntraNetworkRouteError(dst.network_id)
         result = validate_routed_token(token)
         if not result.ok:
             raise InvalidTokenError(result.violations)
@@ -394,7 +394,8 @@ class NetworkEngine:
             raise TerminatedPolicyError(policy_id)
 
     def _require_actor(self, actor: Address):
-        if not self.is_registered(actor):
+        """A registered actor's `Address`; anything else, such as its text, is an unknown actor."""
+        if type(actor) is not Address or not self.is_registered(actor):
             raise UnknownActorError(str(actor))
 
     def _stamp(self, policy_id: str, goal_id: Optional[str], phase_id: Optional[str]):
@@ -408,7 +409,9 @@ class NetworkEngine:
         return "", phase_id or (self.goals.phases[0] if self.goals.phases else "")
 
     def _stakeholder_nature(self, actor: Address) -> StakeholderNature:
-        if actor.network_id == self.owner.network_id:
+        """Internal in the owner's network; a destination that is not an
+        `Address` reads as external, and the validator then refuses it."""
+        if type(actor) is Address and actor.network_id == self.owner.network_id:
             return StakeholderNature.INTERNAL
         return StakeholderNature.EXTERNAL
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Optional
 
 from .goals import canonical_artifact
@@ -155,22 +154,20 @@ def _add_routed(doc: ProvDocument, token: RoutedToken, view: PolicyView):
 
 def token_to_prov_fragment(token) -> ProvDocument:
     """Map one token to a standalone fragment."""
-    if isinstance(token, LocalToken):
-        return _prov(PolicyView(token.policy_id, [token], [], {}))
-    if isinstance(token, RoutedToken):
-        return _prov(PolicyView(token.policy_id, [], [token], {}))
-    raise TypeError(f"cannot map {type(token).__name__} to provenance")
+    if not isinstance(token, (LocalToken, RoutedToken)):
+        raise TypeError(f"cannot map {type(token).__name__} to provenance")
+    return _prov(PolicyView(token.policy_id, [token], {}))
 
 
 def build_prov(log: EventLog, policy_id: str) -> ProvDocument:
-    """Union of fragments over all events of the policy, in time order."""
+    """Union of fragments over all events of the policy, in log order."""
     return _prov(view_of(log, policy_id))
 
 
 def _prov(view: PolicyView) -> ProvDocument:
-    """The view's tokens mapped in time order, locals first on ties."""
+    """The view's tokens mapped in its order, the log's."""
     doc = ProvDocument()
-    for token in sorted(view.locals + view.sends, key=attrgetter("timestamp")):
+    for token in view.tokens:
         if isinstance(token, LocalToken):
             _add_local(doc, token, view)
         else:

@@ -216,7 +216,7 @@ def query(
     performers = [rec.body.get("who_carried_out") for rec in events if rec.event_kind == "local-token"]
     kept = {who for who in performers if isinstance(who, str)}  # a non-text one fails its record's decode
 
-    def decodes(rec) -> bool:  # a send, a local token or a record views_of ignores
+    def decodes(rec) -> bool:  # a send or a local token
         body = rec.body
         if rec.offset in matched:
             return True

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
@@ -105,6 +106,8 @@ _FLAT = frozenset((type(None), bool, int, float, str))
 # What `body.get("policy_id", _NO_POLICY)` gives for a body with no policy_id.
 _NO_POLICY = object()
 _offset = attrgetter("offset")
+# A value in an error message, cut short: a line's value may be as long as the line.
+_repr = reprlib.repr
 
 _ADDRESS_FIELDS = (
     "who_carried_out",
@@ -190,15 +193,15 @@ class EventLog:
         interned."""
         kind = _KINDS.get(event_kind) if type(event_kind) is str else None
         if kind is None:
-            raise ValueError(f"unknown event kind {event_kind!r}")
+            raise ValueError(f"unknown event kind {_repr(event_kind)}")
         if type(logical_time) is not int:
-            raise TypeError(f"logical_time {logical_time!r} is not an integer")
+            raise TypeError(f"logical_time {_repr(logical_time)} is not an integer")
         if not isinstance(body, dict):
-            raise TypeError(f"body {body!r} is not a dict")
+            raise TypeError(f"body {_repr(body)} is not a dict")
         # Every reader groups records by policy_id, so it must be text.
         policy_id = body.get("policy_id", _NO_POLICY)
         if type(policy_id) is not str and policy_id is not _NO_POLICY:
-            raise TypeError(f"policy_id {policy_id!r} is not text")
+            raise TypeError(f"policy_id {_repr(policy_id)} is not text")
         records = self._records
         # The clock is never behind the last record: only a time before it may be out of order.
         if logical_time >= self._now:
@@ -366,7 +369,7 @@ class EventLog:
                             f"line {number}: not a JSON object with offset, event_kind, logical_time and body"
                         ) from None
                 if offset != len(records) or type(offset) is not int:
-                    raise CorruptLogError(f"line {number}: offset {offset!r} is not {len(records)}")
+                    raise CorruptLogError(f"line {number}: offset {_repr(offset)} is not {len(records)}")
                 try:
                     kind = keep(offset, event_kind, logical_time, body)
                 except (ValueError, TypeError) as exc:

@@ -1,17 +1,17 @@
 """Per-policy index over the token log, shared by PROV export and reconstruction.
 
 Every lookup of `prov` and `reconstruct` is a `bisect` or a dict lookup on a
-`PolicyView`. Its lists are sorted by timestamp, ties in log order (which the
-log's one logical time, `EventLog.tick`, makes the same order). Views live for
-one call.
+`PolicyView`. Its one order is the log's, which is time order with ties in
+log order: `EventLog._keep` keeps no time before the last record's, and
+`views_of` refuses a token whose `timestamp` is not its record's logical
+time. Views live for one call.
 
 `views_of` walks each wanted policy's own record list, which the log keeps
 (`EventLog.policy_records`), and no record of another policy.
 
-A view holds the tokens `views_of` decoded. The exports decode every token
-record of their policy, and so check each one; `reconstruct.query` decodes
-only the token records its induced subgraph reads, and leaves out the rest.
-Every receive record of the policy is read either way.
+A view holds the tokens `views_of` decoded, and so checked: every token record
+of the policy for an export, only those its induced subgraph reads for
+`reconstruct.query`. Every receive record of the policy is read either way.
 """
 
 from __future__ import annotations
@@ -19,19 +19,18 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate
-from operator import attrgetter
 from typing import Callable, Optional
 
 from .errors import CorruptLogError, UnknownPolicyError
 from .model import Address, LocalToken, RoutedToken, TokenKind
 from .storage import EventLog, EventRecord
 
+# Each token kind's class; its `from_record` is looked up at each call, as `perfbench/tracing.py` wraps it.
+_TOKEN_CLASSES = {"local-token": LocalToken, "routed-token-send": RoutedToken}
+
 
 def activity_id_for(token: LocalToken) -> str:
     return f"act:{token.policy_id}/{token.who_carried_out.network_id}/{token.seq_num}"
-
-
-_time = attrgetter("timestamp")
 
 
 def _actor(token) -> Address:
@@ -54,11 +53,18 @@ def _index(tokens, key) -> dict:
 class PolicyView:
     """Actors are keyed by `Address`, which compares by value; each index is built on first use."""
 
-    def __init__(self, policy_id: str, locals_: list, sends: list, receives: dict):
+    def __init__(self, policy_id: str, tokens: list, receives: dict):
         self.policy_id = policy_id
-        self.locals = sorted(locals_, key=_time)
-        self.sends = sorted(sends, key=_time)
+        self.tokens = tokens  # local tokens and sends, in log order
         self.receives = receives  # token_id -> logical time of its receive
+
+    @cached_property
+    def locals(self) -> list:
+        return [t for t in self.tokens if type(t) is LocalToken]
+
+    @cached_property
+    def sends(self) -> list:
+        return [t for t in self.tokens if type(t) is RoutedToken]
 
     @cached_property
     def _by_actor(self) -> dict:
@@ -70,22 +76,18 @@ class PolicyView:
 
     @cached_property
     def _event_times(self) -> dict:
-        events = sorted(self.locals + self.sends, key=_time)
-        return {actor: times for actor, (times, _) in _index(events, _actor).items()}
-
-    @cached_property
-    def _work_sends(self) -> list:
-        return [t for t in self.sends if t.kind is not TokenKind.NOTIFICATION]
+        return {actor: times for actor, (times, _) in _index(self.tokens, _actor).items()}
 
     @cached_property
     def timelines(self) -> dict:
-        """actor -> (times, local tokens and non-notification sends), locals first on equal times."""
-        return _index(sorted(self.locals + self._work_sends, key=_time), _actor)
+        """actor -> (times, local tokens and non-notification sends), in log order."""
+        work = [t for t in self.tokens if type(t) is LocalToken or t.kind is not TokenKind.NOTIFICATION]
+        return _index(work, _actor)
 
     @cached_property
     def _replies(self) -> dict:
         """(source, destination) -> delivered work sends' times, suffix minimum of arrivals."""
-        delivered = [t for t in self._work_sends if t.token_id in self.receives]
+        delivered = [t for t in self.sends if t.kind is not TokenKind.NOTIFICATION and t.token_id in self.receives]
         out = {}
         routes = _index(delivered, lambda t: (t.source_address, t.destination_address))
         for route, (times, tokens) in routes.items():
@@ -135,26 +137,25 @@ def _last_at(entry, at: int) -> Optional[LocalToken]:
 
 def views_of(log: EventLog, wanted, decodes: Optional[Callable[[EventRecord], bool]] = None) -> dict:
     """One view per wanted policy, each from that policy's own records
-    (`EventLog.policy_records`). With `decodes`, each record of a wanted
-    policy but a receive is passed to it first, and one it returns false for
-    is skipped: a token record so skipped is neither decoded, so not checked,
-    nor in the view. A token record that does not decode raises
-    `CorruptLogError`, naming the lowest such offset of the wanted policies,
-    before a wanted policy that no record names raises `UnknownPolicyError`."""
-    found = {pid: ([], [], {}) for pid in wanted}
+    (`EventLog.policy_records`). With `decodes`, a token record it returns
+    false for is skipped: neither decoded, so not checked, nor in the view. A
+    token record that does not decode, or whose `timestamp` is not its
+    logical time, raises `CorruptLogError` naming the lowest such offset of
+    the wanted policies, before a wanted policy no record names raises
+    `UnknownPolicyError`."""
+    found = {pid: ([], {}) for pid in wanted}
     corrupt = None  # (offset, message) of the lowest-offset record that did not decode
     addresses: dict = {}  # each distinct address text of this call, parsed once
-    for pid, (locals_, sends, receives) in found.items():
+    for pid, (tokens, receives) in found.items():
         for rec in log.policy_records(pid):
             try:
                 if rec.event_kind == "routed-token-receive":
                     receives[rec.body["token_id"]] = rec.logical_time
-                elif decodes is not None and not decodes(rec):
-                    continue
-                elif rec.event_kind == "local-token":
-                    locals_.append(LocalToken.from_record(rec.body, addresses))
-                elif rec.event_kind == "routed-token-send":
-                    sends.append(RoutedToken.from_record(rec.body, addresses))
+                elif (cls := _TOKEN_CLASSES.get(rec.event_kind)) is not None and (decodes is None or decodes(rec)):
+                    token = cls.from_record(rec.body, addresses)
+                    if token.timestamp != rec.logical_time:
+                        raise ValueError(f"timestamp {token.timestamp} is not the logical time {rec.logical_time}")
+                    tokens.append(token)
             except (KeyError, TypeError, ValueError) as exc:  # a field missing, extra or of a bad type or value
                 if corrupt is None or rec.offset < corrupt[0]:
                     corrupt = (rec.offset, f"offset {rec.offset}: {rec.event_kind} body is not a token: {exc!r}")

@@ -366,8 +366,9 @@ LATE_LOCAL_TOKEN = {
 
 @pytest.mark.parametrize("kind", ["--prov", "--graph"])
 @pytest.mark.parametrize("body", [{"policy_id": "pol-1"}, LATE_LOCAL_TOKEN,
-                                  LATE_LOCAL_TOKEN | {"timestamp": 1, "task": 5}],
-                         ids=["missing-fields", "timestamp-not-int", "text-field-not-text"])
+                                  LATE_LOCAL_TOKEN | {"timestamp": 1, "task": 5}, LATE_LOCAL_TOKEN | {"timestamp": 2}],
+                         ids=["missing-fields", "timestamp-not-int", "text-field-not-text",
+                              "timestamp-not-its-logical-time"])
 def test_token_record_that_does_not_decode_exits_2(tmp_path, capsys, kind, body):
     log = tmp_path / "events.jsonl"
     log.write_text(json.dumps({"offset": 0, "event_kind": "local-token", "logical_time": 1, "body": body}) + "\n")

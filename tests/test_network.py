@@ -282,14 +282,60 @@ SEND_CALL = st.fixed_dictionaries(
 ).map(lambda kwargs: ("send_token", RoutedToken, "validate_routed_token", kwargs))
 
 
+# Each makes, on a system with one open policy, a call that names an address by its text.
+def _local_token_by_text(system, policy_id):
+    return lambda: system.create_local_token(str(COMMUNITY), policy_id, task="t", task_input="i", task_output="o",
+                                             task_description="d")
+
+
+def _send_to_text(system, policy_id):
+    return lambda: system.send_token(SNT, policy_id, destination=str(OWNER), previous_task="t",
+                                     previous_task_output="o", task_description="d")
+
+
+def _route_text_addresses(system, policy_id):
+    token, _ = system.send_token(SNT, policy_id, destination=COMMUNITY, previous_task="t",
+                                 previous_task_output="o", task_description="d")
+    return lambda: system.route_external(replace(
+        token, token_id="t-text", source_address=str(SNT), destination_address=str(COMMUNITY),
+        communication_with=str(COMMUNITY)))
+
+
+def _submit_from_text(system, policy_id):
+    record = system.put_data(b"another idea", COMMUNITY, "idea")
+    return lambda: system.notify_new_policy(record, str(COMMUNITY))
+
+
+@pytest.mark.parametrize("call, error", [
+    (_local_token_by_text, UnknownActorError),
+    (_send_to_text, InvalidTokenError),
+    (_route_text_addresses, InvalidTokenError),
+    (_submit_from_text, UnknownActorError),
+], ids=["local-token-actor", "send-destination", "route-external", "notify-new-policy"])
+def test_an_address_given_as_text_is_refused_before_anything_is_logged(call, error):
+    """Each engine call that takes an `Address` refuses its text with a typed
+    error, as it refuses an enum field given as text, and logs nothing."""
+    system = make_system()
+    policy = open_policy(system)
+    define_default_goal(system, policy)
+    refused = call(system, policy.policy_id)
+    logged, counters, policies = len(system.log), dict(system._seq), dict(system.policies)
+    with pytest.raises(error):
+        refused()
+    assert (len(system.log), system._seq, system.policies) == (logged, counters, policies)
+    assert "t-text" not in system._delivered
+
+
 @st.composite
 def token_calls(draw):
-    """A `create_local_token` or `send_token` call: each argument of its type,
-    or, half the time, one of them empty or of another type."""
+    """A `create_local_token` or `send_token` call: its actor and each
+    argument of its type, or, half the time, one of them empty, of another
+    type or an address as text."""
     method, cls, validator, kwargs = draw(st.one_of(LOCAL_CALL, SEND_CALL))
-    spoilable = sorted(kwargs.keys() - {"destination", "goal_id"})
-    if spoilable and draw(st.booleans()):
-        kwargs[draw(st.sampled_from(spoilable))] = draw(st.sampled_from(["", None, 5, True, b"x", "document"]))
+    kwargs = {"actor": SNT, **kwargs}
+    if draw(st.booleans()):
+        spoiled = draw(st.sampled_from(sorted(kwargs.keys() - {"goal_id"})))
+        kwargs[spoiled] = draw(st.sampled_from(["", None, 5, True, b"x", "document", str(BCU)]))
     return method, cls, validator, kwargs
 
 
@@ -299,8 +345,12 @@ def test_an_issued_token_is_the_one_its_fields_build(call):
     """The token the controller validates and issues equals the token its
     fields build through the dataclass constructor, its attributes in field
     declaration order; a refused call raises the violations of that built
-    token and leaves the log, the clock and the sequence counters as they were."""
+    token, or, for an actor that is not an `Address`, `UnknownActorError`
+    before any token is built, and leaves the log, the clock and the sequence
+    counters as they were."""
     method, cls, validator, kwargs = call
+    kwargs = dict(kwargs)
+    actor = kwargs.pop("actor")
     system = make_system()
     policy = open_policy(system)
     define_default_goal(system, policy)
@@ -314,7 +364,11 @@ def test_an_issued_token_is_the_one_its_fields_build(call):
     logged, counters, now = len(system.log), dict(system._seq), system.log.tick()
     with mock.patch.object(network_module, validator, spy):
         try:
-            issued = getattr(system, method)(SNT, policy.policy_id, **kwargs)
+            issued = getattr(system, method)(actor, policy.policy_id, **kwargs)
+        except UnknownActorError:
+            assert type(actor) is not Address and seen == []
+            assert (len(system.log), system._seq, system.log.tick()) == (logged, counters, now + 1)
+            return
         except InvalidTokenError as refusal:
             [token] = seen
             assert (token.token_id, token.timestamp) == ("unissued", 0)
@@ -430,7 +484,11 @@ class TestRouting:
         ({"policy_id": 5}, InvalidTokenError),
         ({"policy_id": "pol-2"}, TerminatedPolicyError),
         ({"policy_id": "pol-99"}, UnknownPolicyError),
-    ], ids=["bool-int", "int-text", "int-policy-id", "terminated-policy", "unknown-policy"])
+        ({"source_address": str(SNT), "destination_address": str(COMMUNITY), "communication_with": str(COMMUNITY)},
+         InvalidTokenError),
+        ({"destination_address": str(SNT), "communication_with": str(SNT)}, InvalidTokenError),
+    ], ids=["bool-int", "int-text", "int-policy-id", "terminated-policy", "unknown-policy", "text-addresses",
+            "text-destination-of-the-senders-network"])
     def test_connector_refuses_an_invalid_token_before_any_state_changes(self, tmp_path, spoil, error):
         """A token from outside the engine that its validator refuses raises
         InvalidTokenError, and one of a terminated policy (pol-2) or of a

@@ -28,6 +28,10 @@ from conftest import ADDRESS_KEYS, oracle_scan
 SECOND_RECORD = b'{"body":{"policy_id":"pol-1"},"event_kind":"decision","logical_time":2,"offset":1}'
 
 ALICE = Address("net", "alice")
+# A list nested 900 deep, whose repr is 1,800 characters; and how long a
+# load error's message may be, whatever value it names.
+DEEP = json.loads("[" * 900 + "]" * 900)
+MESSAGE_BOUND = 100
 
 
 def test_clock_is_monotonic_from_one():
@@ -109,12 +113,18 @@ class TestEventLog:
         pytest.param(SECOND_RECORD + b" 1", id="record-then-number"),
         pytest.param(SECOND_RECORD + b"]", id="record-then-bracket"),
         pytest.param(b"\x0c" + SECOND_RECORD + b"\x0b", id="padded-with-form-feed-and-vertical-tab"),
+        pytest.param(b'{"offset":1,"event_kind":%s,"logical_time":2,"body":{}}' % json.dumps(DEEP).encode(),
+                     id="kind-nested-deep"),
+        pytest.param(b'{"offset":1,"event_kind":"%s","logical_time":2,"body":{}}' % (b"k" * 5000), id="kind-long"),
+        pytest.param(b'{"offset":1,"event_kind":"decision","logical_time":2,"body":%s}' % json.dumps(DEEP).encode(),
+                     id="body-nested-deep"),
     ])
     def test_malformed_line_raises_naming_the_line(self, tmp_path, bad):
         path = tmp_path / "events.jsonl"
         self._log_whose_line_3_is(path, bad)
-        with pytest.raises(CorruptLogError, match="^line 3: "):
+        with pytest.raises(CorruptLogError, match="^line 3: ") as err:
             EventLog.load(path)
+        assert len(str(err.value)) <= MESSAGE_BOUND
 
     @pytest.mark.parametrize("kind, spoil", [
         ("local-token", lambda body: {"policy_id": body["policy_id"]}),
@@ -130,9 +140,12 @@ class TestEventLog:
         ("local-token", lambda body: body | {"task": 5}),
         ("routed-token-send", lambda body: body | {"required_action": ["review"]}),
         ("routed-token-send", lambda body: body | {"kind": ["task-handoff"]}),
+        ("local-token", lambda body: body | {"timestamp": body["timestamp"] + 1}),
+        ("routed-token-send", lambda body: body | {"timestamp": body["timestamp"] - 1}),
     ], ids=["missing-fields", "missing-address", "bad-enum", "bad-address", "address-not-text",
             "extra-field", "receive-without-token-id", "timestamp-not-int", "timestamp-bool",
-            "seq-num-not-int", "text-field-not-text", "optional-text-field-not-text", "enum-not-text"])
+            "seq-num-not-int", "text-field-not-text", "optional-text-field-not-text", "enum-not-text",
+            "local-timestamp-not-its-logical-time", "send-timestamp-not-its-logical-time"])
     def test_token_record_that_does_not_decode_raises_naming_its_offset(self, tmp_path, kind, spoil):
         path = tmp_path / "events.jsonl"
         run(load_scenario(fixture_path("pattern_sequential")), log_path=path)
@@ -154,9 +167,18 @@ class TestEventLog:
         (lambda raw: raw.update(logical_time=1), "logical_time 1 is before 2"),
         (lambda raw: raw["body"].update(policy_id=["pol-1"]), "policy_id ['pol-1'] is not text"),
         (lambda raw: raw["body"].update(policy_id=None), "policy_id None is not text"),
+        (lambda raw: raw.update(offset=DEEP), "offset [[[[[[[...]]]]]]] is not 1"),
+        (lambda raw: raw.update(logical_time=DEEP), "logical_time [[[[[[[...]]]]]]] is not an integer"),
+        (lambda raw: raw.update(body=DEEP), "body [[[[[[[...]]]]]]] is not a dict"),
+        (lambda raw: raw["body"].update(policy_id=DEEP), "policy_id [[[[[[[...]]]]]]] is not text"),
+        (lambda raw: raw.update(event_kind=DEEP), "unknown event kind [[[[[[[...]]]]]]]"),
+        (lambda raw: raw.update(event_kind="k" * 5000), f"unknown event kind '{'k' * 12}...{'k' * 13}'"),
     ], ids=["offset-skips", "offset-text", "offset-bool", "time-float", "time-null", "time-goes-back",
-            "policy-id-list", "policy-id-null"])
+            "policy-id-list", "policy-id-null", "offset-deep", "time-deep", "body-deep", "policy-id-deep",
+            "kind-deep", "kind-long"])
     def test_record_out_of_place_raises_naming_the_line(self, tmp_path, edit, message):
+        """The message names the value, its repr cut short: a value as long as
+        its line gives a line of about the message's own length."""
         log = EventLog()
         log.append("decision", {"policy_id": "pol-1"}, 2)
         log.append("decision", {"policy_id": "pol-1"}, 2)  # equal times are in order
@@ -164,8 +186,9 @@ class TestEventLog:
         edit(raw)
         path = tmp_path / "events.jsonl"
         path.write_text(f"{log[0].to_json()}\n\n{json.dumps(raw)}\n")
-        with pytest.raises(CorruptLogError, match=f"^line 3: {re.escape(message)}$"):
+        with pytest.raises(CorruptLogError, match=f"^line 3: {re.escape(message)}$") as err:
             EventLog.load(path)
+        assert len(str(err.value)) <= MESSAGE_BOUND
 
     @pytest.mark.parametrize("cut", [1, 20, -2])
     def test_torn_last_line_raises_its_own_error(self, tmp_path, cut):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from policyprov.errors import CorruptLogError, UnknownPolicyError
 from policyprov.model import Address, LocalToken, TokenKind
+from policyprov.prov import build_prov
 from policyprov.reconstruct import query
 from policyprov.storage import EventLog
 from policyprov.view import view_of, views_of
@@ -91,9 +92,14 @@ def first_response(events, arrivals, sent):
                default=None)
 
 
+def timeline_of(events, actor):
+    """The actor's local tokens and work sends, in log order."""
+    tokens = [t for t in events if (isinstance(t, LocalToken) or is_work_send(t)) and actor_of(t) == actor]
+    return [t.timestamp for t in tokens], tokens
+
+
 def next_activity(events, actor, after):
-    return min((t.timestamp for t in events if (isinstance(t, LocalToken) or is_work_send(t))
-                and actor_of(t) == actor and t.timestamp > after), default=None)
+    return min((time for time in timeline_of(events, actor)[0] if time > after), default=None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,6 +140,27 @@ def test_next_activity(timeline, after):
         assert view.next_activity(actor, after) == next_activity(events, actor, after)
 
 
+@settings(max_examples=100, deadline=None)
+@given(timelines())
+def test_timelines_keep_log_order(timeline):
+    """Tokens of one logical time, which the strategy draws often, keep log order."""
+    events, arrivals = timeline
+    view = view_of(log_of(events, arrivals), "pol-1")
+    assert view.timelines == {actor: timeline_of(events, actor) for actor in ACTORS if timeline_of(events, actor)[1]}
+
+
+def test_tied_times_keep_log_order_in_timelines_and_the_prov_build():
+    """A send logged before a local token of its sender at the same logical
+    time comes first in the sender's timeline and is mapped to PROV first."""
+    alice, bob = ACTORS[:2]
+    send = make_routed(token_id="t-send", source_address=alice, destination_address=bob, communication_with=bob,
+                       kind=TokenKind.TASK_HANDOFF, timestamp=1)
+    work = make_local(token_id="t-local", who_carried_out=alice, timestamp=1)
+    log = log_of([send, work], {})
+    assert view_of(log, "pol-1").timelines == {alice: ([1, 1], [send, work])}
+    assert list(build_prov(log, "pol-1").entities) == ["tok:t-send", "ent:pol-1/report", "ent:pol-1/analysis"]
+
+
 @settings(max_examples=50, deadline=None)
 @given(timelines(), timelines())
 def test_one_pass_views_equal_separate_views(first, second):
@@ -164,8 +191,8 @@ def corrupt_two_policy_log() -> EventLog:
     """pol-1 and pol-2 each hold one corrupt local token, pol-2's at offset 1
     and pol-1's, the policy listed first, later, at offset 3."""
     log = EventLog()
-    log.append("local-token", make_local(token_id="t-1", policy_id="pol-1").to_record(), 1)
-    log.append("local-token", _corrupt(make_local(token_id="t-2", policy_id="pol-2")), 2)
+    log.append("local-token", make_local(token_id="t-1", policy_id="pol-1", timestamp=1).to_record(), 1)
+    log.append("local-token", _corrupt(make_local(token_id="t-2", policy_id="pol-2", timestamp=2)), 2)
     log.append("local-token", make_local(token_id="t-3", policy_id="pol-2", timestamp=3).to_record(), 3)
     log.append("local-token", _corrupt(make_local(token_id="t-4", policy_id="pol-1", timestamp=4)), 4)
     return log

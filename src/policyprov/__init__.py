@@ -24,7 +24,7 @@ from .model import (
 )
 from .network import DeliveryReceipt, NetworkEngine
 from .prov import ProvDocument, build_prov, export_prov_json, token_to_prov_fragment
-from .reconstruct import ProcessGraph, classify_pattern, detect_loops, query, reconstruct_process, to_dot
+from .reconstruct import ProcessGraph, detect_loops, query, reconstruct_process, to_dot
 from .simulation import RunTrace, Scenario, load_scenario, run, trace_report
 from .storage import DataStore, EventLog, EventRecord
 

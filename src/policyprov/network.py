@@ -124,7 +124,8 @@ class NetworkEngine:
             raise UnknownNetworkError(network_id) from None
 
     def is_registered(self, address: Address) -> bool:
-        return address.actor_id in self.networks.get(address.network_id, ())
+        """Whether `address` is a registered actor's `Address`; its text is not."""
+        return type(address) is Address and address.actor_id in self.networks.get(address.network_id, ())
 
     # -- policies ----------------------------------------------------------
 
@@ -333,7 +334,10 @@ class NetworkEngine:
     # -- data and goals ---------------------------------------------------------
 
     def put_data(self, payload: bytes, by: Address, media_hint: str = "") -> DataRecord:
-        """Store the payload; data stored for the first time goes to goal monitoring."""
+        """Store the payload; data stored for the first time goes to goal
+        monitoring. A `by` that is not a registered actor's `Address` raises
+        `UnknownActorError` before anything is stored or logged."""
+        self._require_actor(by)
         logged = len(self.log)
         record = self.store.put(payload, by, media_hint)
         if len(self.log) > logged:
@@ -395,7 +399,7 @@ class NetworkEngine:
 
     def _require_actor(self, actor: Address):
         """A registered actor's `Address`; anything else, such as its text, is an unknown actor."""
-        if type(actor) is not Address or not self.is_registered(actor):
+        if not self.is_registered(actor):
             raise UnknownActorError(str(actor))
 
     def _stamp(self, policy_id: str, goal_id: Optional[str], phase_id: Optional[str]):

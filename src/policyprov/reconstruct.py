@@ -1,26 +1,17 @@
 """Rebuilds the structured process from the recorded token log.
 
-Produces the ordered task graph per policy, classifies the observed
-communication pattern of every routed interaction, and detects phase-level
-loop-backs against a configured phase order.
-
-Pattern rules (our operational formalization):
-  parallel      >= 2 sends from the same activity before any response
-  sequential    single send with no response expected; the receiver acts next
-  synchronous   the sender performs no further activity for the policy until
-                a response token from the receiver arrives
-  asynchronous  the sender performs an activity while a response is pending
-  synchronous-/asynchronous-parallel   the combinations of the above
+Produces the ordered task graph per policy, with each routed interaction's
+observed communication pattern (`PolicyView.pattern`, which states the
+rules), and detects phase-level loop-backs against a configured phase order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Optional
 
 from .errors import UnknownPhaseError
-from .model import CommunicationPattern, RoutedToken, TokenKind
+from .model import CommunicationPattern, TokenKind
 from .storage import EventLog, policy_ids
 from .view import PolicyView, activity_id_for, view_of, views_of
 
@@ -68,12 +59,6 @@ class ProcessGraph:
     edges: list[ProcessEdge] = field(default_factory=list)
     loop_markers: list[tuple[str, str, int]] = field(default_factory=list)
 
-    def node(self, node_id: str) -> ProcessNode:
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(node_id)
-
     def actor_chain(self) -> list[str]:
         """Actor sequence over the time-ordered task edges (handoffs and
         approval requests; responses and notifications return control rather
@@ -95,31 +80,6 @@ class ProcessGraph:
         return chain
 
 
-def _classify_sends(view: PolicyView, actors) -> dict:
-    """Pattern per delivered non-notification send of the actors, by the rules above."""
-    patterns: dict[str, CommunicationPattern] = {}
-    for actor in actors:
-        _, timeline = view.timelines.get(actor, ((), ()))
-        for kind, run in groupby(timeline, key=type):
-            if kind is not RoutedToken:
-                continue
-            group = list(run)
-            next_act = view.next_activity(group[-1].source_address, group[-1].timestamp)
-            responses = [t for t in map(view.first_response, group) if t is not None]
-            if not responses:
-                base = CommunicationPattern.SEQUENTIAL
-            elif next_act is not None and next_act < min(responses):
-                base = CommunicationPattern.ASYNCHRONOUS
-            else:
-                base = CommunicationPattern.SYNCHRONOUS
-            if len(group) >= 2 and base is CommunicationPattern.SEQUENTIAL:
-                base = CommunicationPattern.PARALLEL
-            pattern = CommunicationPattern.combine(base, parallel=len(group) >= 2)
-            for sent in group:
-                patterns[sent.token_id] = pattern
-    return patterns
-
-
 def reconstruct_process(
     log: EventLog,
     policy_id: str,
@@ -139,7 +99,6 @@ def _graph(view: PolicyView, phase_order=None, include_notifications=False, toke
                 activity_id_for(t), str(t.who_carried_out), t.task, t.phase_id, t.goal_id, t.seq_num, t.timestamp
             ))
     kept = None if token_ids is None else {node.node_id for node in graph.nodes}
-    found = []
     for token in view.sends if kept is None or kept else ():
         if token.token_id not in view.receives:
             continue  # dead letters stay in the log, not in the process graph
@@ -150,23 +109,13 @@ def _graph(view: PolicyView, phase_order=None, include_notifications=False, toke
         src_node = activity_id_for(src) if src else None
         dst_node = activity_id_for(dst) if dst else None
         if kept is None or (src_node in kept and dst_node in kept):
-            found.append((token, src_node, dst_node))
-    patterns = _classify_sends(view, {token.source_address for token, _, _ in found})
-    for token, src_node, dst_node in found:
-        graph.edges.append(ProcessEdge(
-            token.token_id, str(token.source_address), str(token.destination_address), token.kind,
-            patterns.get(token.token_id, token.communication_pattern), token.timestamp,
-            view.receives[token.token_id], src_node, dst_node,
-        ))
+            graph.edges.append(ProcessEdge(
+                token.token_id, str(token.source_address), str(token.destination_address), token.kind,
+                view.pattern(token), token.timestamp, view.receives[token.token_id], src_node, dst_node,
+            ))
     if phase_order is not None:
         graph.loop_markers = detect_loops(graph, phase_order)
     return graph
-
-
-def classify_pattern(graph: ProcessGraph, node_id: str) -> list[CommunicationPattern]:
-    """Patterns of the node's outgoing interactions, in send order."""
-    graph.node(node_id)
-    return [e.pattern for e in sorted(graph.edges, key=lambda e: e.time) if e.src_node == node_id]
 
 
 def detect_loops(graph: ProcessGraph, phase_order: list[str]) -> list[tuple[str, str, int]]:

@@ -31,11 +31,10 @@ class Rule:
     rule_id: int = 0
 
     def matches(self, token: RoutedToken) -> bool:
-        """Whether the trigger's keys hold; the runner only offers the actor's own
-        deliveries, and checks `task_description_contains` itself."""
-        cond = self.trigger.get("on_receive")
-        if cond is None:
-            return False
+        """Whether the `on_receive` trigger's keys hold; the runner only offers
+        a receive rule its actor's own deliveries, and checks
+        `task_description_contains` itself."""
+        cond = self.trigger["on_receive"]
         if "kind" in cond and token.kind.value != cond["kind"]:
             return False
         if "from" in cond and str(token.source_address) != cond["from"]:

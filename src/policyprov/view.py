@@ -12,17 +12,27 @@ time. Views live for one call.
 A view holds the tokens `views_of` decoded, and so checked: every token record
 of the policy for an export, only those its induced subgraph reads for
 `reconstruct.query`. Every receive record of the policy is read either way.
+
+`PolicyView.pattern` classifies the observed communication pattern of a
+delivered work send (our operational formalization). A sender's group is a
+run of its work sends with no local token between them:
+  parallel      >= 2 sends in the group, and no response to any of them
+  sequential    a single send with no response; the receiver acts next
+  synchronous   the sender performs no further activity for the policy until
+                a response token from a receiver arrives
+  asynchronous  the sender performs an activity while a response is pending
+  synchronous-/asynchronous-parallel   the combinations of the above
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Callable, Optional
 
 from .errors import CorruptLogError, UnknownPolicyError
-from .model import Address, LocalToken, RoutedToken, TokenKind
+from .model import Address, CommunicationPattern, LocalToken, RoutedToken, TokenKind
 from .storage import EventLog, EventRecord
 
 # Each token kind's class; its `from_record` is looked up at each call, as `perfbench/tracing.py` wraps it.
@@ -57,6 +67,7 @@ class PolicyView:
         self.policy_id = policy_id
         self.tokens = tokens  # local tokens and sends, in log order
         self.receives = receives  # token_id -> logical time of its receive
+        self._patterns: dict = {}  # sender -> {token_id: observed pattern}, each built on first use
 
     @cached_property
     def locals(self) -> list:
@@ -127,6 +138,35 @@ class PolicyView:
         times, _ = self.timelines.get(actor, ((), ()))
         i = bisect_right(times, after)
         return times[i] if i < len(times) else None
+
+    def pattern(self, send: RoutedToken) -> CommunicationPattern:
+        """A delivered work send's observed pattern, by the module's rules; any
+        other send's declared one. The first call for a sender classifies all
+        of its groups."""
+        actor = send.source_address
+        patterns = self._patterns.get(actor)
+        if patterns is None:
+            patterns = self._patterns[actor] = {}
+            _, timeline = self.timelines.get(actor, ((), ()))
+            for kind, run in groupby(timeline, key=type):
+                if kind is not RoutedToken:
+                    continue
+                group = list(run)
+                next_act = self.next_activity(actor, group[-1].timestamp)
+                responses = [t for t in map(self.first_response, group) if t is not None]
+                if not responses:
+                    base = CommunicationPattern.SEQUENTIAL
+                elif next_act is not None and next_act < min(responses):
+                    base = CommunicationPattern.ASYNCHRONOUS
+                else:
+                    base = CommunicationPattern.SYNCHRONOUS
+                if len(group) >= 2 and base is CommunicationPattern.SEQUENTIAL:
+                    base = CommunicationPattern.PARALLEL
+                observed = CommunicationPattern.combine(base, parallel=len(group) >= 2)
+                for sent in group:
+                    if sent.token_id in self.receives:
+                        patterns[sent.token_id] = observed
+        return patterns.get(send.token_id, send.communication_pattern)
 
 
 def _last_at(entry, at: int) -> Optional[LocalToken]:

@@ -36,6 +36,8 @@ from policyprov.errors import (
     UnknownNetworkError,
     UnknownPolicyError,
 )
+from policyprov.goals import GoalStatus
+from policyprov.model import content_hash
 from policyprov.simulation import _Runner, build_system
 
 from conftest import (
@@ -84,6 +86,12 @@ class TestRegistry:
         system.link_networks("local-council", "citizens")
         assert len(system.networks["local-council"]) == 4
 
+    @pytest.mark.parametrize("address", [str(SNT), 5, None, Address("ghost", "nobody")])
+    def test_only_a_registered_actors_address_is_registered(self, address):
+        system = make_system()
+        assert system.is_registered(SNT)
+        assert not system.is_registered(address)
+
 
 class TestPolicyCreation:
     def test_ids_are_sequential(self):
@@ -122,11 +130,10 @@ class TestPolicyCreation:
     def test_unregistered_submitter_opens_no_policy(self):
         system = make_system()
         ghost = Address("ghost", "nobody")
-        record = system.put_data(b"idea", ghost, "idea")
         with pytest.raises(UnknownActorError):
-            system.notify_new_policy(record, ghost)
+            system.put_data(b"idea", ghost, "idea")
         assert system.policies == {}
-        assert [rec.event_kind for rec in system.log] == ["data-stored"]
+        assert list(system.log) == []
 
     def test_unstored_submission_rejected(self):
         from policyprov import DataRecord
@@ -324,6 +331,18 @@ def test_an_address_given_as_text_is_refused_before_anything_is_logged(call, err
         refused()
     assert (len(system.log), system._seq, system.policies) == (logged, counters, policies)
     assert "t-text" not in system._delivered
+
+
+@pytest.mark.parametrize("by", [5, str(SNT), Address("ghost", "nobody")], ids=["int", "text", "unregistered"])
+def test_put_data_refuses_a_submitter_that_is_not_a_registered_actor(by):
+    system = make_system()
+    policy = open_policy(system)
+    define_default_goal(system, policy)
+    logged, digest = len(system.log), system.log.content_hash()
+    with pytest.raises(UnknownActorError):
+        system.put_data(b"problem analysis", by, "problem analysis document")
+    assert (len(system.log), system.log.content_hash()) == (logged, digest)
+    assert content_hash(b"problem analysis") not in system.store
 
 
 @st.composite
@@ -608,6 +627,20 @@ class TestGoalSatisfactionNotice:
         record = system.put_data(b"the report", SNT, "Report")
         assert system.store.get(record.data_id) is record
         assert [rec.event_kind for rec in system.log][logged:] == ["data-stored", "metric-satisfied", "goal-satisfied"]
+
+    def test_stored_bytes_put_again_log_nothing(self):
+        """A second put of stored bytes returns the first record and logs
+        nothing, though a goal defined after the first put wants its hint."""
+        system = make_system()
+        policy = open_policy(system)
+        first = system.put_data(b"the report", SNT, "Report")
+        system.define_goal(policy.policy_id, "agenda-setting", "report",
+                           [Metric("m", MetricKind.ARTIFACT_DELIVERY, artifact_key="report")],
+                           by=OWNER, goal_id="g-report")
+        logged, digest = len(system.log), system.log.content_hash()
+        assert system.put_data(b"the report", SNT, "Report") is first
+        assert (len(system.log), system.log.content_hash()) == (logged, digest)
+        assert system.goals.goal("g-report", policy.policy_id).status is GoalStatus.ACTIVE
 
     def test_no_notice_when_owner_satisfies_goal(self):
         system = make_system()

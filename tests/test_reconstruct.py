@@ -8,7 +8,6 @@ import pytest
 from policyprov import (
     CommunicationPattern,
     TokenKind,
-    classify_pattern,
     detect_loops,
     query,
     reconstruct_process,
@@ -160,15 +159,6 @@ class TestPatternRules:
             CommunicationPattern.ASYNCHRONOUS_PARALLEL,
             CommunicationPattern.ASYNCHRONOUS_PARALLEL,
         ]
-
-    def test_classify_pattern_reads_a_node_outgoing_edges(self):
-        system, policy = simple_run()
-        graph = reconstruct_process(system.log, policy.policy_id)
-        assert classify_pattern(graph, "act:pol-1/local-council/1") == [
-            CommunicationPattern.SEQUENTIAL
-        ]
-        with pytest.raises(KeyError):
-            classify_pattern(graph, "act:pol-1/local-council/99")
 
 
 class TestLoops:

@@ -42,6 +42,17 @@ def test_clock_is_monotonic_from_one():
     assert [rec.logical_time for rec in log] == [4]
 
 
+@pytest.mark.parametrize("time", [1, 2], ids=["the-last-records-time", "between-it-and-the-clock"])
+def test_a_time_behind_the_clock_but_not_before_the_last_record_is_kept(time):
+    """Two records may share a logical time, and the clock stays where it is."""
+    log = EventLog()
+    log.append("decision", {"policy_id": "pol-1"}, 1)
+    assert [log.tick(), log.tick()] == [2, 3]
+    log.append("decision", {"policy_id": "pol-1"}, time)
+    assert [rec.logical_time for rec in log] == [1, time]
+    assert log.tick() == 4
+
+
 class TestEventLog:
     def test_offsets_are_dense_from_zero(self):
         log = EventLog()

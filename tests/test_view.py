@@ -3,11 +3,11 @@
 from operator import attrgetter, itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from policyprov.errors import CorruptLogError, UnknownPolicyError
-from policyprov.model import Address, LocalToken, TokenKind
+from policyprov.model import Address, CommunicationPattern, LocalToken, TokenKind
 from policyprov.prov import build_prov
 from policyprov.reconstruct import query
 from policyprov.storage import EventLog
@@ -33,8 +33,10 @@ def timelines(draw):
             continue
         dest = draw(st.sampled_from([a for a in ACTORS if a != actor]))
         kind = draw(st.sampled_from(list(TokenKind)))
+        declared = draw(st.sampled_from(list(CommunicationPattern)))
         events.append(make_routed(token_id=f"t{i}", source_address=actor, destination_address=dest,
-                                  communication_with=dest, kind=kind, timestamp=time))
+                                  communication_with=dest, kind=kind, communication_pattern=declared,
+                                  timestamp=time))
         if draw(st.booleans()):
             arrivals[f"t{i}"] = time + draw(st.integers(0, 12))
     return events, arrivals
@@ -102,6 +104,27 @@ def next_activity(events, actor, after):
     return min((time for time in timeline_of(events, actor)[0] if time > after), default=None)
 
 
+def pattern(events, arrivals, sent):
+    """The pattern rules of `view.py`, read off the sender's timeline."""
+    if not is_work_send(sent) or sent.token_id not in arrivals:
+        return sent.communication_pattern
+    _, timeline = timeline_of(events, sent.source_address)
+    first = last = timeline.index(sent)
+    while first > 0 and is_work_send(timeline[first - 1]):
+        first -= 1
+    while last + 1 < len(timeline) and is_work_send(timeline[last + 1]):
+        last += 1
+    group = timeline[first:last + 1]
+    responses = [time for time in (first_response(events, arrivals, t) for t in group) if time is not None]
+    after = next_activity(events, sent.source_address, group[-1].timestamp)
+    parallel = len(group) >= 2
+    if not responses:
+        return CommunicationPattern.PARALLEL if parallel else CommunicationPattern.SEQUENTIAL
+    if after is not None and after < min(responses):
+        return CommunicationPattern.ASYNCHRONOUS_PARALLEL if parallel else CommunicationPattern.ASYNCHRONOUS
+    return CommunicationPattern.SYNCHRONOUS_PARALLEL if parallel else CommunicationPattern.SYNCHRONOUS
+
+
 @settings(max_examples=100, deadline=None)
 @given(timelines(), TIMES)
 def test_previous_and_next(timeline, at):
@@ -138,6 +161,39 @@ def test_next_activity(timeline, after):
     view = view_of(log_of(events, arrivals), "pol-1")
     for actor in ACTORS:
         assert view.next_activity(actor, after) == next_activity(events, actor, after)
+
+
+def check_pattern(timeline):
+    """Every send's pattern, asked for last send first, so that a sender's
+    first call comes from its last group."""
+    events, arrivals = timeline
+    view = view_of(log_of(events, arrivals), "pol-1")
+    for sent in reversed(events):
+        if not isinstance(sent, LocalToken):
+            assert view.pattern(sent) == pattern(events, arrivals, sent)
+
+
+def handoff(token_id, source, destination, time):
+    return make_routed(token_id=token_id, source_address=source, destination_address=destination,
+                       communication_with=destination, kind=TokenKind.TASK_HANDOFF, timestamp=time)
+
+
+# `a`'s next activity comes at its reply's arrival, 3: synchronous.
+TIED = ([handoff("t0", ACTORS[0], ACTORS[1], 1), handoff("t1", ACTORS[1], ACTORS[0], 2),
+         make_local(token_id="t2", who_carried_out=ACTORS[0], timestamp=3)], {"t0": 2, "t1": 3})
+# `a` sends two, whose replies arrive at 3 and 6, and acts at 4: synchronous-parallel, by the first reply.
+FIRST_REPLY = ([handoff("t0", ACTORS[0], ACTORS[1], 1), handoff("t1", ACTORS[0], ACTORS[2], 1),
+                handoff("t2", ACTORS[1], ACTORS[0], 2), handoff("t3", ACTORS[2], ACTORS[0], 2),
+                make_local(token_id="t4", who_carried_out=ACTORS[0], timestamp=4)],
+               {"t0": 2, "t1": 2, "t2": 3, "t3": 6})
+
+
+@settings(max_examples=100, deadline=None)
+@example(TIED)
+@example(FIRST_REPLY)
+@given(timelines())
+def test_pattern(timeline):
+    check_pattern(timeline)
 
 
 @settings(max_examples=100, deadline=None)
